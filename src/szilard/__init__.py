@@ -23,6 +23,7 @@ from .compress import (
 from .entropy import (
     CutLevel,
     EntropyReport,
+    Spectrum,
     binary_entropy,
     h_max,
     h_max_smooth,
@@ -32,6 +33,7 @@ from .entropy import (
     h_min_smooth_detail,
     shannon,
     smooth_report,
+    spectrum,
 )
 from .game import (
     BOLTZMANN_J_PER_K,

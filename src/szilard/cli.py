@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import compress, entropy, game, oracle, probdist
-from .errors import ArityMismatch, ParseError, SzilardError, WeightSumError
+from .errors import ArityMismatch, BadNList, ParseError, SzilardError, WeightSumError
 
 DEFAULT_EPSILON = 1e-3
 DEFAULT_TEMPERATURE = 300.0
@@ -545,6 +545,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _parse_n_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise BadNList(f"--n-list needs comma-separated integers, got {text!r}") from None
+
+
 def _rows_to_json(header: list[str], rows: list[list]) -> list[dict]:
     return [
         {key: (_sig6(v) if isinstance(v, float) else v) for key, v in zip(header, row)}
@@ -608,7 +615,7 @@ def run(argv: list[str] | None = None) -> int:
             sys.stdout.write(_emit_csv(header, rows))
         return 0
     if args.command == "figure3":
-        n_list = [int(x) for x in str(args.n_list).split(",") if x.strip()]
+        n_list = _parse_n_list(args.n_list)
         header, rows = cmd_figure3(args.p, args.epsilon, n_list)
         if args.format == "json":
             sys.stdout.write(_emit_json(_rows_to_json(header, rows)))

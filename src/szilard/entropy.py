@@ -16,18 +16,23 @@ Over this ball both smooth values have closed-form greedy solutions:
   where lambda solves sum_i max(p_i - lambda, 0) = eps (no redistribution;
   lowering the peak any further would overdraw the budget).
 
-Both have a fast path over type classes, so i.i.d. and mixture families are
-exact at n = 1000 and beyond.
+All six figures depend only on the multiset of outcome probabilities, so
+each is computed once, over the distribution's ``Spectrum``: its distinct
+per-outcome probabilities in descending order with their multiplicities.
+Explicit tables and type-class aggregations are two producers of the same
+spectrum, which keeps i.i.d. and mixture families exact at n = 1000 and
+beyond.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadEpsilon
-from .numerics import log2_one_minus_exp2, log2_one_minus_exp2_vec, logsumexp2, xlog2x
+from .numerics import logsumexp2
 from .probdist import (
     ExplicitDistribution,
     MixtureOfProducts,
@@ -36,11 +41,25 @@ from .probdist import (
     to_type_classes,
 )
 
-Distribution = ExplicitDistribution | MixtureOfProducts | TypeClassView
 
-#: bisection stop width for the cut-level solve, in log2(lambda) units
-#: (equivalent to relative 1e-12 on lambda)
-_CUT_LOG_TOL = math.log2(1.0 + 1e-12)
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Distinct per-outcome probabilities of a distribution, descending.
+
+    Level i holds the outcomes of probability 2**log_p[i]: ``mass[i]`` is
+    their total probability (linear), ``log_count[i]`` the log2 of their
+    number and ``count[i]`` that number exactly. ``count`` is None where
+    only the logs are known (type classes above EXACT_BINOMIAL_MAX_N).
+    """
+
+    n: int
+    log_p: np.ndarray
+    mass: np.ndarray
+    log_count: np.ndarray
+    count: np.ndarray | None
+
+
+Distribution = ExplicitDistribution | MixtureOfProducts | TypeClassView | Spectrum
 
 
 @dataclass(frozen=True)
@@ -73,27 +92,18 @@ class CutLevel:
 
 
 @dataclass(frozen=True)
-class ClassRetention:
-    """Per-class retained string counts (log2) after tail deletion."""
-
-    log2_retained_by_class: np.ndarray
-    removed_mass: float
-
-
-@dataclass(frozen=True)
 class SmoothedMax:
     bits: float
     removed_mass: float
-    retained_count: int | None            # exact on the explicit path
-    witness: ExplicitDistribution | None  # subnormalized table, explicit path
-    retention: ClassRetention | None      # type-class path
+    retained_count: int | None            # exact wherever the spectrum's counts are
+    witness: ExplicitDistribution | None  # subnormalized table, explicit input only
 
 
 @dataclass(frozen=True)
 class SmoothedMin:
     bits: float
     cut: CutLevel
-    witness: ExplicitDistribution | None  # subnormalized table, explicit path
+    witness: ExplicitDistribution | None  # subnormalized table, explicit input only
 
 
 def binary_entropy(p: float) -> float:
@@ -108,12 +118,32 @@ def binary_entropy(p: float) -> float:
     return out
 
 
-def _view(dist: Distribution) -> TypeClassView | None:
-    if isinstance(dist, TypeClassView):
+def spectrum(dist: Distribution) -> Spectrum:
+    """The spectrum of a distribution; a spectrum is returned as it is.
+
+    Explicit tables group equal probabilities (exact int64 counts). Type
+    classes are sorted by per-string probability, and classes of equal
+    probability share one level.
+    """
+    if isinstance(dist, Spectrum):
         return dist
-    if isinstance(dist, MixtureOfProducts):
-        return to_type_classes(dist)
-    return None
+    if isinstance(dist, ExplicitDistribution):
+        p, count = np.unique(dist.probs, return_counts=True)
+        p, count = p[::-1], count[::-1].astype(np.int64)
+        return Spectrum(dist.n, np.log2(p), p * count, np.log2(count), count)
+    view = to_type_classes(dist) if isinstance(dist, MixtureOfProducts) else dist
+    sup = np.flatnonzero(view.support_classes())
+    order = sup[np.argsort(-view.class_log_prob[sup], kind="stable")]
+    log_p, log_count = view.class_log_prob[order], view.class_log_count[order]
+    count = None if view.class_count is None else view.class_count[order]
+    starts = np.flatnonzero(np.diff(log_p, prepend=np.inf))
+    if starts.size < log_p.size:
+        top = np.maximum.reduceat(log_count, starts)
+        spread = np.repeat(top, np.diff(starts, append=log_p.size))
+        log_count = top + np.log2(np.add.reduceat(np.exp2(log_count - spread), starts))
+        count = None if count is None else np.add.reduceat(count, starts)
+        log_p = log_p[starts]
+    return Spectrum(view.n, log_p, np.exp2(log_p + log_count), log_count, count)
 
 
 def shannon(dist: Distribution) -> float:
@@ -122,28 +152,21 @@ def shannon(dist: Distribution) -> float:
     Summation is exactly rounded (fsum), so the value is identical for any
     relabeling of the same probability multiset.
     """
-    view = _view(dist)
-    if view is None:
-        return -math.fsum(xlog2x(dist.probs))
-    sup = view.support_classes()
-    mass = np.exp2(view.class_log_mass()[sup])
-    return -math.fsum(mass * view.class_log_prob[sup])
+    s = spectrum(dist)
+    return -math.fsum(s.mass * s.log_p)
 
 
 def h_min(dist: Distribution) -> float:
     """-log2 of the largest outcome probability."""
-    view = _view(dist)
-    if view is None:
-        return -math.log2(dist.p_max)
-    return -view.log_p_max()
+    return -float(spectrum(dist).log_p[0])
 
 
 def h_max(dist: Distribution) -> float:
     """log2 of the support size."""
-    view = _view(dist)
-    if view is None:
-        return math.log2(dist.support_size)
-    return logsumexp2(view.class_log_count[view.support_classes()])
+    s = spectrum(dist)
+    if s.count is not None:
+        return math.log2(int(s.count.sum()))
+    return logsumexp2(s.log_count)
 
 
 def _check_epsilon(eps: float):
@@ -151,152 +174,102 @@ def _check_epsilon(eps: float):
         raise BadEpsilon(f"need 0 <= epsilon < 1, got {eps}")
 
 
+def _int_exp2(x: float, rounding=math.floor) -> int:
+    """2**x rounded to an int, without overflowing floats for large x."""
+    shift = max(0, int(x) - 60)
+    return rounding(2.0 ** (x - shift)) << shift
+
+
 def h_max_smooth(dist: Distribution, eps: float) -> float:
-    return h_max_smooth_detail(dist, eps).bits
+    """H_max^eps in bits; the spectrum is passed on so no witness is built."""
+    return h_max_smooth_detail(spectrum(dist), eps).bits
 
 
 def h_max_smooth_detail(dist: Distribution, eps: float) -> SmoothedMax:
     """Minimal support size reachable by deleting total mass <= eps.
 
-    Explicit path: sort ascending (ties deleted in descending index order)
-    and cut the longest affordable prefix. Type-class path: delete whole
-    classes in ascending per-string probability, then as many strings of
-    the boundary class as the leftover budget buys.
+    Deletes whole levels in ascending probability while the budget lasts,
+    then as many outcomes of the boundary level as the rest buys. The
+    witness, built for explicit tables only, deletes tied outcomes in
+    descending index order.
     """
     _check_epsilon(eps)
-    view = _view(dist)
-    if view is None:
-        return _h_max_smooth_explicit(dist, eps)
-    return _h_max_smooth_classes(view, eps)
-
-
-def _h_max_smooth_explicit(dist: ExplicitDistribution, eps: float) -> SmoothedMax:
+    s = spectrum(dist)
+    top = s.log_p.size - 1
+    cum = np.cumsum(s.mass[::-1])
+    # eps < 1 = total mass, so an outcome of the top level survives; the min()
+    # only shields against float cum[-1] landing a hair below eps
+    gone = min(int(np.searchsorted(cum, eps, side="right")), top) if eps > 0.0 else 0
+    b = top - gone
+    removed = float(cum[gone - 1]) if gone else 0.0
+    log_p = float(s.log_p[b])
+    count_b = _int_exp2(float(s.log_count[b]), round) if s.count is None else int(s.count[b])
+    t = min(_int_exp2(math.log2(eps - removed) - log_p), count_b - 1) if eps > removed else 0
+    if t:
+        removed += 2.0 ** (math.log2(t) + log_p)
+    if s.count is None:
+        retained = None
+        bits = logsumexp2(np.append(s.log_count[:b], math.log2(count_b - t)))
+    else:
+        retained = int(s.count[:b].sum()) + count_b - t
+        bits = math.log2(retained)
+    result = SmoothedMax(bits, removed, retained, None)
+    if not isinstance(dist, ExplicitDistribution):
+        return result
     order = np.lexsort((-dist.indices, dist.probs))
-    cum = np.cumsum(dist.probs[order])
-    deleted = int(np.searchsorted(cum, eps, side="right"))
-    # eps < 1 = total mass, so the top outcome survives; the min() only
-    # shields against float cum[-1] landing a hair below eps
-    deleted = min(deleted, dist.support_size - 1)
     keep = np.ones(dist.support_size, dtype=bool)
-    keep[order[:deleted]] = False
-    removed = float(cum[deleted - 1]) if deleted else 0.0
+    keep[order[: dist.support_size - retained]] = False
     witness = _from_arrays(dist.n, dist.indices[keep], dist.probs[keep])
-    k = dist.support_size - deleted
-    return SmoothedMax(math.log2(k), removed, k, witness, None)
-
-
-def _h_max_smooth_classes(view: TypeClassView, eps: float) -> SmoothedMax:
-    lp, lc = view.class_log_prob, view.class_log_count
-    retained = lc.copy()
-    retained[~view.support_classes()] = -np.inf
-    if eps == 0.0:
-        bits = logsumexp2(retained[np.isfinite(retained)])
-        return SmoothedMax(bits, 0.0, None, None, ClassRetention(retained, 0.0))
-
-    sup = np.flatnonzero(view.support_classes())
-    order = sup[np.argsort(lp[sup])]  # ascending per-string probability
-    mass = np.exp2(lp[order] + lc[order])  # underflow to 0 only erases < float-resolution budget
-    cum = 0.0
-    for pos, k in enumerate(order):
-        if cum + mass[pos] <= eps:
-            cum += mass[pos]
-            retained[k] = -np.inf
-            continue
-        budget = eps - cum
-        if budget > 0.0:
-            log_t = math.log2(budget) - lp[k]
-            if log_t >= 0.0:
-                if log_t < 52.0:
-                    # counts this small are exact in float; honor the integer floor
-                    t = math.floor(2.0**log_t)
-                    log_t = math.log2(t) if t else -math.inf
-                # budget < class mass, so t < count barring float rounding
-                if math.isfinite(log_t) and log_t < lc[k]:
-                    cum += 2.0 ** (log_t + lp[k])
-                    retained[k] = lc[k] + log2_one_minus_exp2(log_t - lc[k])
-        break
-    if not np.isfinite(retained).any():
-        retained[order[-1]] = 0.0  # eps < 1: one top-probability string survives
-    bits = logsumexp2(retained[np.isfinite(retained)])
-    return SmoothedMax(bits, cum, None, None, ClassRetention(retained, cum))
+    return dataclasses.replace(result, witness=witness)
 
 
 def h_min_smooth(dist: Distribution, eps: float) -> float:
-    return h_min_smooth_detail(dist, eps).bits
+    """H_min^eps in bits; the spectrum is passed on so no witness is built."""
+    return h_min_smooth_detail(spectrum(dist), eps).bits
 
 
 def h_min_smooth_detail(dist: Distribution, eps: float) -> SmoothedMin:
     """Largest min-entropy reachable by removing mass <= eps (peak shaving).
 
-    Explicit path: exact piecewise-linear solve over the sorted table.
-    Type-class path: bisection on log2(lambda), at most 200 halvings, to
-    relative 1e-12 on lambda.
+    Shaving the top m levels to lam removes S_m - N_m lam, with S_m their
+    mass and N_m their outcome count, so lam = (S_m - eps) / N_m; the cut
+    is the first m whose lam is at or above level m + 1. The witness is
+    built for explicit tables only.
     """
     _check_epsilon(eps)
-    view = _view(dist)
-    if view is None:
-        return _h_min_smooth_explicit(dist, eps)
-    return _h_min_smooth_classes(view, eps)
-
-
-def _h_min_smooth_explicit(dist: ExplicitDistribution, eps: float) -> SmoothedMin:
-    desc = np.sort(dist.probs)[::-1]
+    s = spectrum(dist)
+    lam = None
     if eps == 0.0:
-        lam = float(desc[0])
+        log_lam = float(s.log_p[0])
     else:
-        prefix = np.cumsum(desc)
-        m = np.arange(1, desc.size + 1)
-        levels = (prefix - eps) / m
-        next_prob = np.append(desc[1:], 0.0)
-        # smallest m whose level clears the next entry: only the top m get shaved
-        feasible = levels >= next_prob
-        lam = float(levels[np.argmax(feasible)])
-        lam = min(lam, float(desc[0]))
-    shaved = np.minimum(dist.probs, lam)
-    removed = float((dist.probs - shaved).sum())
-    witness = _from_arrays(dist.n, dist.indices, shaved)
-    return SmoothedMin(-math.log2(lam), CutLevel(math.log2(lam), removed), witness)
-
-
-def _h_min_smooth_classes(view: TypeClassView, eps: float) -> SmoothedMin:
-    lp = view.class_log_prob
-    lc = view.class_log_count
-    sup = view.support_classes()
-    log_pmax = view.log_p_max()
-    if eps == 0.0:
-        return SmoothedMin(-log_pmax, CutLevel(log_pmax, 0.0), None)
-
-    def removed_mass(log_lam: float) -> float:
-        above = sup & (lp > log_lam)
-        if not above.any():
-            return 0.0
-        terms = lc[above] + lp[above] + log2_one_minus_exp2_vec(log_lam - lp[above])
-        return 2.0 ** logsumexp2(terms)
-
-    # removed mass is 1 - lam * N at the low end, so this bracket always straddles eps
-    lo = math.log2(1.0 - eps) - logsumexp2(lc[sup])
-    hi = log_pmax
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if removed_mass(mid) > eps:
-            lo = mid
+        prefix_mass = np.cumsum(s.mass)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            levels = np.log2(prefix_mass - eps) - np.logaddexp2.accumulate(s.log_count)
+        m = int(np.argmax(levels >= np.append(s.log_p[1:], -np.inf))) + 1
+        slack = float(prefix_mass[m - 1]) - eps
+        # a linear lam, exact below 2^53 shaved outcomes, is what the witness
+        # caps the table at, so the witness peak gives back bits exactly
+        if s.count is not None and (shaved := int(s.count[:m].sum())) < 2**53:
+            lam = slack / shaved
+            log_lam = math.log2(lam)
         else:
-            hi = mid
-        if hi - lo <= _CUT_LOG_TOL:
-            break
-    log_lam = 0.5 * (lo + hi)
-    return SmoothedMin(-log_lam, CutLevel(log_lam, removed_mass(log_lam)), None)
+            log_lam = math.log2(slack) - logsumexp2(s.log_count[:m])
+    result = SmoothedMin(-log_lam, CutLevel(log_lam, eps), None)
+    if not isinstance(dist, ExplicitDistribution):
+        return result
+    probs = dist.probs if lam is None else np.minimum(dist.probs, lam)
+    return dataclasses.replace(result, witness=_from_arrays(dist.n, dist.indices, probs))
 
 
 def smooth_report(dist: Distribution, eps: float) -> EntropyReport:
-    """All six entropy figures at once."""
-    n = dist.n
+    """All six entropy figures at once, over one spectrum."""
+    s = spectrum(dist)
     return EntropyReport(
-        n=n,
-        shannon=shannon(dist),
-        h_min=h_min(dist),
-        h_max=h_max(dist),
+        n=s.n,
+        shannon=shannon(s),
+        h_min=h_min(s),
+        h_max=h_max(s),
         epsilon=eps,
-        h_min_smooth=h_min_smooth(dist, eps),
-        h_max_smooth=h_max_smooth(dist, eps),
+        h_min_smooth=h_min_smooth(s, eps),
+        h_max_smooth=h_max_smooth(s, eps),
     )

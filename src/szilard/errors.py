@@ -73,6 +73,14 @@ class BadBetSize(SzilardError):
     pass
 
 
+class BadSampleCount(SzilardError):
+    pass
+
+
+class BadNList(SzilardError):
+    pass
+
+
 class TooLarge(SzilardError):
     pass
 

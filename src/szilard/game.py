@@ -25,14 +25,16 @@ from .compress import CompressionPlan, canonical_permutation
 from .entropy import (
     Distribution,
     binary_entropy,
+    h_max_smooth,
     h_max_smooth_detail,
     h_min,
     h_min_smooth,
-    h_max_smooth,
+    spectrum,
 )
 from .errors import (
     BadBetSize,
     BadEpsilon,
+    BadSampleCount,
     InvalidBets,
     NonpositiveTemperature,
 )
@@ -80,6 +82,8 @@ class GameConfig:
             raise NonpositiveTemperature(f"temperature {self.temperature} K")
         if not 0.0 <= self.epsilon < 1.0:
             raise BadEpsilon(f"epsilon {self.epsilon}")
+        if self.n_samples < 1:
+            raise BadSampleCount(f"need at least one Monte Carlo sample, got {self.n_samples}")
 
     @property
     def work_value(self) -> float:
@@ -124,10 +128,10 @@ def riskfree_work(dist: Distribution, eps: float, c: float) -> Work:
 
 def riskfree_bet_count(dist: Distribution, eps: float) -> int:
     """Number of boxes an executable risk-free strategy bets: n - ceil(H_max^eps)."""
-    detail = h_max_smooth_detail(dist, eps)
+    detail = h_max_smooth_detail(spectrum(dist), eps)
     if detail.retained_count is not None:
         uncertain = (detail.retained_count - 1).bit_length()
-    else:
+    else:  # counts known in log2 form only: type classes above EXACT_BINOMIAL_MAX_N
         uncertain = math.ceil(detail.bits - 1e-9)
     return dist.n - uncertain
 
@@ -151,11 +155,12 @@ def shannon_limit_work(p: float, n: int, c: float) -> Work:
 
 
 def work_bounds(dist: Distribution, eps: float, c: float) -> WorkBounds:
+    spec = spectrum(dist)
     return WorkBounds(
-        n=dist.n,
+        n=spec.n,
         epsilon=eps,
-        min_work=riskfree_work(dist, eps, c),
-        max_work=gambler_work_bound(dist, eps, c),
+        min_work=riskfree_work(spec, eps, c),
+        max_work=gambler_work_bound(spec, eps, c),
     )
 
 
@@ -275,7 +280,8 @@ def check_inequalities(
 ) -> list[str]:
     """Consistency checks a finished game run must satisfy; empty when sound."""
     violations = []
-    bounds = work_bounds(dist, eps, c) if eps > 0 else None
+    spec = spectrum(dist) if eps > 0 else None
+    bounds = work_bounds(spec, eps, c) if eps > 0 else None
     if bounds is not None and eps <= 1.0 / 3.0:
         # provable only for eps <= 1/3 under mass-removal smoothing
         if bounds.min_work.bits > bounds.max_work.bits + 1e-9:
@@ -284,7 +290,7 @@ def check_inequalities(
                 f"gambling bound {bounds.max_work.bits:.6g} bits"
             )
     if eps > 0.0 and exact.success_prob > eps:
-        cap = dist.n - h_min(dist) + math.log2(1.0 / eps)
+        cap = dist.n - h_min(spec) + math.log2(1.0 / eps)
         if not len(strategy.bets) < cap:
             violations.append(
                 f"{len(strategy.bets)} bets succeed with p={exact.success_prob:.6g} "

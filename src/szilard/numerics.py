@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 LN2 = math.log(2.0)
 
@@ -28,33 +27,32 @@ def logsumexp2(values) -> float:
     return m + math.log2(float(np.sum(np.exp2(a - m))))
 
 
-def log2_one_minus_exp2(x: float) -> float:
-    """log2(1 - 2**x) for x < 0, stable near both ends of the range."""
-    if x >= 0.0:
-        raise ValueError("argument must be negative")
-    return math.log2(-math.expm1(x * LN2))
+def binomials(n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """log2 C(n, k) for k = 0..n, and the exact C(n, k) where they are kept.
 
+    Up to EXACT_BINOMIAL_MAX_N the row is built from exact big-int
+    binomials, returned as an object array of Python ints beside their
+    logs (math.log2 of a Python int is correctly rounded). Beyond that only
+    the log-gamma logs exist and the exact row is None.
+    """
+    if n <= EXACT_BINOMIAL_MAX_N:
+        exact = np.empty(n + 1, dtype=object)
+        logs = np.empty(n + 1)
+        row = 1
+        for k in range(n + 1):
+            exact[k] = row
+            logs[k] = math.log2(row)
+            row = row * (n - k) // (k + 1)
+        return logs, exact
+    from scipy.special import gammaln  # scipy loads only for rows this long
 
-def log2_one_minus_exp2_vec(x: np.ndarray) -> np.ndarray:
-    """Vectorized log2(1 - 2**x) for x < 0 elementwise."""
-    return np.log2(-np.expm1(x * LN2))
+    k = np.arange(n + 1, dtype=float)
+    return (gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)) / LN2, None
 
 
 def log2_binomials(n: int) -> np.ndarray:
-    """log2 C(n, k) for k = 0..n.
-
-    Exact big-int binomials for n <= EXACT_BINOMIAL_MAX_N (math.log2 of a
-    Python int is correctly rounded); log-gamma beyond that.
-    """
-    if n <= EXACT_BINOMIAL_MAX_N:
-        row = 1
-        out = np.empty(n + 1)
-        for k in range(n + 1):
-            out[k] = math.log2(row)
-            row = row * (n - k) // (k + 1)
-        return out
-    k = np.arange(n + 1, dtype=float)
-    return (gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)) / LN2
+    """log2 C(n, k) for k = 0..n (see ``binomials``)."""
+    return binomials(n)[0]
 
 
 _M1 = np.uint64(0x5555555555555555)
@@ -70,12 +68,3 @@ def popcount(values: np.ndarray) -> np.ndarray:
     x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
     x = (x + (x >> np.uint64(4))) & _M4
     return ((x * _H01) >> np.uint64(56)).astype(np.int64)
-
-
-def xlog2x(p: np.ndarray) -> np.ndarray:
-    """p * log2(p) with the 0 log 0 = 0 convention."""
-    p = np.asarray(p, dtype=float)
-    out = np.zeros_like(p)
-    mask = p > 0.0
-    out[mask] = p[mask] * np.log2(p[mask])
-    return out

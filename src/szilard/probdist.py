@@ -31,7 +31,7 @@ from .errors import (
     SzilardError,
     WeightSumError,
 )
-from .numerics import logsumexp2, popcount
+from .numerics import binomials, logsumexp2, popcount
 
 #: default ceiling on the explicit outcome-space size 2^n
 DEFAULT_EXPLICIT_CAP = 2**24
@@ -297,22 +297,22 @@ class TypeClassView:
 
     Class k collects the C(n, k) strings with k R's; every string in a class
     has the same probability. ``class_log_prob[k]`` is the log2 per-string
-    probability, ``class_log_count[k]`` is log2 C(n, k). Entropy and
-    smoothing routines run on these two arrays.
+    probability, ``class_log_count[k]`` is log2 C(n, k), and
+    ``class_count[k]`` is C(n, k) as an exact Python int (None for n above
+    EXACT_BINOMIAL_MAX_N). Entropy and smoothing routines run on these
+    arrays.
     """
 
     n: int
     class_log_prob: np.ndarray
     class_log_count: np.ndarray
+    class_count: np.ndarray | None = None
 
     def class_log_mass(self) -> np.ndarray:
         return self.class_log_prob + self.class_log_count
 
     def support_classes(self) -> np.ndarray:
         return np.isfinite(self.class_log_prob)
-
-    def log_p_max(self) -> float:
-        return float(np.max(self.class_log_prob[self.support_classes()]))
 
 
 def to_type_classes(m: MixtureOfProducts) -> TypeClassView:
@@ -322,8 +322,6 @@ def to_type_classes(m: MixtureOfProducts) -> TypeClassView:
     probabilities outside their single feasible class; the 0 * log 0
     convention applies to the k = 0 and k = n exponents.
     """
-    from .numerics import log2_binomials  # local import keeps module load cheap
-
     n = m.n
     ks = np.arange(n + 1, dtype=float)
     per_component = np.full((len(m.components), n + 1), -np.inf)
@@ -341,7 +339,10 @@ def to_type_classes(m: MixtureOfProducts) -> TypeClassView:
             mx + np.log2(np.sum(np.exp2(per_component - np.where(np.isfinite(mx), mx, 0.0)), axis=0)),
             -np.inf,
         )
-    return TypeClassView(n, _freeze(log_prob), _freeze(log2_binomials(n)))
+    log_count, count = binomials(n)
+    return TypeClassView(
+        n, _freeze(log_prob), _freeze(log_count), None if count is None else _freeze(count)
+    )
 
 
 def explicit_of(

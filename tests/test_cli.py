@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +160,13 @@ def test_cmd_work_fully_known_string():
     assert out["shannon_limit"]["bits"] == 4.0
 
 
+def test_cmd_work_executable_counts_boxes_exactly():
+    # 2^39 + 1 outcomes survive this budget, so no box can be bet
+    eps = (2**39 - 0.5) * 0.001 * 2.0**-40
+    out = cmd_work("mix(0.999: bernoulli(1.0)^40, 0.001: uniform^40)", eps, 300.0)
+    assert out["min_work_executable"]["bits"] == 0.0
+
+
 def test_cmd_work_reports_both_unit_systems():
     out = cmd_work("uniform^4", 1e-3, 300.0)
     assert out["work_value"]["ev"] == pytest.approx(C300_EV, rel=1e-5)
@@ -247,6 +258,31 @@ def test_cli_error_envelope_missing_spec(capsys):
     envelope = json.loads(capsys.readouterr().err)
     assert code == 1
     assert envelope["code"] == "SzilardError"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["game", "--spec", "uniform^2", "--samples", "0"], "BadSampleCount"),
+        (["game", "--spec", "uniform^2", "--samples", "-5"], "BadSampleCount"),
+        (["figure3", "--n-list", "100,abc"], "BadNList"),
+    ],
+)
+def test_cli_bad_arguments_are_input_errors(argv, code, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["code"] == code
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    probe = "import sys, szilard.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_cli_spec_file(tmp_path, capsys):

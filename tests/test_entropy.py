@@ -19,6 +19,7 @@ from szilard import (
     mixture,
     shannon,
     smooth_report,
+    spectrum,
     statistical_distance,
     uniform_product,
 )
@@ -192,6 +193,26 @@ def test_smooth_report_uniform_product():
     assert r.h_max == pytest.approx(12.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "dist",
+    [
+        pex(),
+        uniform_product(12),
+        bernoulli_product(0.7, 1000),
+        bernoulli_product(0.7, 3000),
+        mixture([0.5, 0.5], [bernoulli_product(1.0, 40), uniform_product(40)]),
+    ],
+)
+def test_smooth_report_equals_individual_functions(dist):
+    for eps in (0.0, 1e-3, 0.2):
+        r = smooth_report(dist, eps)
+        assert r.shannon == shannon(dist)
+        assert r.h_min == h_min(dist)
+        assert r.h_max == h_max(dist)
+        assert r.h_min_smooth == h_min_smooth(dist, eps)
+        assert r.h_max_smooth == h_max_smooth(dist, eps)
+
+
 def test_smooth_report_bernoulli_1000_band():
     r = smooth_report(bernoulli_product(0.7, 1000), 2e-4)
     assert 920.0 <= r.h_max_smooth <= 960.0
@@ -251,6 +272,31 @@ def test_type_class_fidelity_small_n(rng):
             assert h_max(m) == pytest.approx(h_max(d), abs=1e-10)
             assert h_max_smooth(m, eps) == pytest.approx(h_max_smooth(d, eps), abs=1e-10)
             assert h_min_smooth(m, eps) == pytest.approx(h_min_smooth(d, eps), abs=1e-10)
+
+
+def test_class_spectrum_matches_explicit_spectrum(rng):
+    for _ in range(20):
+        n = int(rng.integers(1, 17))
+        weights, lefts = random_mixture_params(rng, n)
+        m = mixture(weights, [bernoulli_product(q, n) for q in lefts])
+        a, b = spectrum(m), spectrum(explicit_of(m))
+        assert np.array_equal(a.count.astype(np.int64), b.count)
+        assert np.allclose(a.log_p, b.log_p, rtol=0.0, atol=1e-12)
+
+
+def test_class_spectrum_merges_equal_probabilities():
+    s = spectrum(mixture([0.5, 0.5], [bernoulli_product(1.0, 30), uniform_product(30)]))
+    assert s.count.tolist() == [1, 2**30 - 1]
+    assert spectrum(uniform_product(3000)).log_p.tolist() == [-3000.0]
+
+
+@pytest.mark.parametrize("n", [30, 200, 3000])
+def test_class_h_min_smooth_is_the_exact_cut(n):
+    # shaving the single top outcome 1/2 + 2^-(n+1) by 1/4 leaves the peak
+    # 1/4 + 2^-(n+1), still above the 2^-(n+1) of every other outcome
+    m = mixture([0.5, 0.5], [bernoulli_product(1.0, n), uniform_product(n)])
+    expected = -math.log2(0.25 + 2.0 ** -(n + 1))
+    assert abs(h_min_smooth(m, 0.25) - expected) <= 1e-15
 
 
 def test_aep_convergence_to_shannon_rate():

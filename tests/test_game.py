@@ -15,6 +15,7 @@ from szilard import (
     explicit_of,
     gambler_work_bound,
     h_max_smooth,
+    h_max_smooth_detail,
     h_min,
     make_explicit,
     mixture,
@@ -31,10 +32,11 @@ from szilard.compress import CompressionPlan
 from szilard.errors import (
     BadBetSize,
     BadEpsilon,
+    BadSampleCount,
     InvalidBets,
     NonpositiveTemperature,
 )
-from szilard.game import check_inequalities
+from szilard.game import check_inequalities, riskfree_bet_count
 from szilard.oracle import exhaustive_game_eval
 
 from util import random_explicit
@@ -101,6 +103,37 @@ def test_riskfree_executable_floors_to_whole_boxes(rng):
         assert integer == float(int(integer))
         assert integer <= real + 1e-12
         assert real - integer < 1.0 + 1e-12
+
+
+def det_plus_uniform(n, w):
+    return mixture([1.0 - w, w], [bernoulli_product(1.0, n), uniform_product(n)])
+
+
+def test_riskfree_bet_count_one_above_a_power_of_two():
+    # eps buys 2^39 - 1/2 of the 2^40 - 1 outcomes of probability 0.001 * 2^-40:
+    # 2^39 + 1 outcomes stay, and telling them apart takes all 40 boxes
+    m = det_plus_uniform(40, 0.001)
+    eps = (2**39 - 0.5) * 0.001 * 2.0**-40
+    assert h_max_smooth_detail(m, eps).retained_count == 2**39 + 1
+    assert riskfree_bet_count(m, eps) == 0
+    assert riskfree_work_executable(m, eps, 1.0).bits == 0.0
+
+
+def test_riskfree_bet_count_at_an_exact_power_of_two():
+    assert h_max_smooth_detail(uniform_product(40), 0.0).retained_count == 2**40
+    assert riskfree_bet_count(uniform_product(40), 0.0) == 0
+
+
+def test_riskfree_bet_count_exact_next_to_every_power_of_two():
+    n, w = 40, 0.001
+    m = det_plus_uniform(n, w)
+    low = w * 2.0**-n  # probability of each outcome but the all-L one
+    for k in range(1, n):
+        for retained in (2**k, 2**k + 1):
+            # the budget deletes all but `retained` outcomes, with half of one to spare
+            eps = (2**n - retained + 0.5) * low
+            assert h_max_smooth_detail(m, eps).retained_count == retained
+            assert riskfree_bet_count(m, eps) == n - (retained - 1).bit_length()
 
 
 # ---------------------------------------------------------- gambling bound
@@ -352,3 +385,5 @@ def test_game_config_validation():
         GameConfig(temperature=0.0)
     with pytest.raises(BadEpsilon):
         GameConfig(epsilon=1.5)
+    with pytest.raises(BadSampleCount):
+        GameConfig(n_samples=0)
