@@ -61,17 +61,43 @@ def canonical_permutation(dist: ExplicitDistribution) -> CompressionPlan:
     Support outcomes map to indices 0..k-1 in order of non-increasing
     probability; ties and the zero-probability remainder keep their original
     index order, which makes recompression the identity.
+
+    The compressed table is (0..k-1, sorted probs) by construction, so its
+    profile is read off directly: a box of weight w >= k is known L, and a
+    trailing box sums its R half in the same order as ``bit_profile``.
     """
-    size = 1 << dist.n
-    perm = np.empty(size, dtype=np.int64)
-    order = np.lexsort((dist.indices, -dist.probs))
-    perm[dist.indices[order]] = np.arange(dist.support_size)
-    rest = np.ones(size, dtype=bool)
-    rest[dist.indices] = False
-    perm[rest] = np.arange(dist.support_size, size)
-    compressed = apply_permutation(dist, perm)
+    n, k, size = dist.n, dist.support_size, 1 << dist.n
+    # indices ascend, so a stable sort breaks ties by index
+    order = np.argsort(-dist.probs, kind="stable")
+    if k < size:
+        # a non-support index x goes to k + (number of non-support indices below x)
+        perm = np.ones(size, dtype=np.int64)
+        perm[0] = k
+        perm[dist.indices[dist.indices < size - 1] + 1] = 0
+        np.cumsum(perm, out=perm)
+    else:
+        perm = np.empty(size, dtype=np.int64)
+    perm[dist.indices[order]] = np.arange(k)
     perm.setflags(write=False)
-    return CompressionPlan(dist.n, perm, bit_profile(compressed))
+    probs = dist.probs[order]
+    total = probs.sum()
+    buf = np.empty(k // 2)  # no box of weight w < k reads R on more than k/2 outcomes
+    profile = []
+    for pos in range(n):
+        w = 1 << (n - 1 - pos)
+        if w >= k:
+            profile.append(BitInfo(KNOWN, 0))
+            continue
+        # the R half of every full 2w block, then the tail's R part, ascending
+        full = k - k % (2 * w)
+        rows = probs[:full].reshape(-1, 2, w)[:, 1, :]
+        tail = probs[full + w :]
+        ones = buf[: rows.size + tail.size]
+        ones[: rows.size].reshape(rows.shape)[...] = rows
+        ones[rows.size :] = tail
+        p_one = float(ones.sum() / total)
+        profile.append(BitInfo(UNIFORM if abs(p_one - 0.5) <= UNIFORMITY_TOL else BIASED))
+    return CompressionPlan(n, perm, tuple(profile))
 
 
 def apply_plan(dist: ExplicitDistribution, plan: CompressionPlan) -> ExplicitDistribution:

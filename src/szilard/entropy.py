@@ -243,6 +243,9 @@ def h_min_smooth_detail(dist: Distribution, eps: float) -> SmoothedMin:
         log_lam = float(s.log_p[0])
     else:
         prefix_mass = np.cumsum(s.mass)
+        if eps >= prefix_mass[-1]:
+            # nothing would be left to take a peak of
+            raise BadEpsilon(f"epsilon {eps} removes the whole mass {float(prefix_mass[-1])!r}")
         with np.errstate(divide="ignore", invalid="ignore"):
             levels = np.log2(prefix_mass - eps) - np.logaddexp2.accumulate(s.log_count)
         m = int(np.argmax(levels >= np.append(s.log_p[1:], -np.inf))) + 1

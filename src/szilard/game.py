@@ -38,7 +38,7 @@ from .errors import (
     InvalidBets,
     NonpositiveTemperature,
 )
-from .probdist import ExplicitDistribution, apply_permutation, marginal, sample_indices
+from .probdist import ExplicitDistribution, sample_indices
 from .rng import make_rng
 
 BOLTZMANN_J_PER_K = 1.380649e-23  # CODATA exact
@@ -176,10 +176,11 @@ def _check_bets(n: int, bets: tuple[tuple[int, int], ...]):
 
 
 def _match_mask(indices: np.ndarray, n: int, bets) -> np.ndarray:
-    mask = np.ones(indices.shape, dtype=bool)
+    mask = want = 0
     for pos, val in bets:
-        mask &= ((indices >> (n - 1 - pos)) & 1) == val
-    return mask
+        mask |= 1 << (n - 1 - pos)
+        want |= val << (n - 1 - pos)
+    return (indices & mask) == want
 
 
 def exact_evaluate(dist: ExplicitDistribution, strategy: Strategy) -> ExactResult:
@@ -208,42 +209,17 @@ def build_riskfree_strategy(dist: ExplicitDistribution, eps: float, c: float) ->
 
 
 def build_gambler_strategy(dist: ExplicitDistribution, m: int, c: float) -> Strategy:
-    """Bet on the m boxes whose best joint guess is most probable.
+    """Compress, then bet L on the leading m boxes: the best m-box bet.
 
-    Exhaustive over position subsets up to n = 16; beyond that, greedy on
-    the marginal peak (add the position that degrades it least).
+    Any guess on m boxes wins on one cell of 2^(n-m) outcomes, so no bet
+    succeeds with more than the mass of the top 2^(n-m) outcomes (the
+    Ky-Fan sum). Compression puts exactly those outcomes on indices below
+    2^(n-m), the cell where boxes 0..m-1 all read L, which reaches it.
     """
     if not 1 <= m <= dist.n:
         raise BadBetSize(f"bet size {m} outside [1, {dist.n}]")
-    plan = canonical_permutation(dist)
-    compressed = apply_permutation(dist, plan.permutation)
-
-    def peak_and_guess(positions: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
-        marg = marginal(compressed, positions)
-        best = int(np.argmax(marg.probs))
-        cell = int(marg.indices[best])
-        k = len(positions)
-        return float(marg.probs[best]), tuple((cell >> (k - 1 - i)) & 1 for i in range(k))
-
-    if dist.n <= 16:
-        from itertools import combinations
-
-        best_positions, best_guess, best_peak = None, None, -1.0
-        for positions in combinations(range(dist.n), m):
-            peak, guess = peak_and_guess(positions)
-            if peak > best_peak:
-                best_positions, best_guess, best_peak = positions, guess, peak
-    else:
-        chosen: list[int] = []
-        for _ in range(m):
-            candidates = [p for p in range(dist.n) if p not in chosen]
-            scored = [(peak_and_guess(tuple(sorted(chosen + [p])))[0], p) for p in candidates]
-            chosen.append(max(scored)[1])
-        best_positions = tuple(sorted(chosen))
-        _, best_guess = peak_and_guess(best_positions)
-
-    bets = tuple(zip(best_positions, best_guess))
-    return Strategy(plan, bets, m * c)
+    bets = tuple((pos, 0) for pos in range(m))
+    return Strategy(canonical_permutation(dist), bets, m * c)
 
 
 def monte_carlo(

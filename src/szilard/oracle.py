@@ -5,7 +5,8 @@ probdist data types with the code it validates: subset enumeration instead
 of the greedy tail cut, grid/rejection sampling instead of the exact cut
 solve, full microstate enumeration instead of support arithmetic, and raw
 search over every permutation/bet/guess instead of the compress-and-bet
-construction. Slow by design, trustworthy by construction.
+construction, and every position subset and guess instead of the closed-form
+gambler bet. Slow by design, trustworthy by construction.
 """
 from __future__ import annotations
 
@@ -140,3 +141,31 @@ def exhaustive_strategy_search(
                         tuple(zip(positions, guesses)),
                     )
     return best
+
+
+def exhaustive_gambler_search(
+    dist: ExplicitDistribution, m: int
+) -> tuple[tuple[tuple[int, int], ...], float]:
+    """Most probable guess on m boxes of the compressed table, and its mass.
+
+    The table is compressed from scratch (outcomes by descending probability,
+    ties by index), then every position subset and every guess is scored by
+    the exactly rounded mass of its cell, so equal cells score equal and the
+    first subset and guess in lexicographic order win ties.
+    """
+    if dist.n > 12:
+        raise TooLarge(f"n {dist.n} > 12")
+    order = np.lexsort((dist.indices, -dist.probs))
+    probs = dist.probs[order]
+    compressed = np.arange(dist.support_size)
+    best_bets, best_mass = (), -1.0
+    for positions in combinations(range(dist.n), m):
+        cell = np.zeros_like(compressed)
+        for pos in positions:
+            cell = (cell << 1) | ((compressed >> (dist.n - 1 - pos)) & 1)
+        for value in range(1 << m):
+            mass = math.fsum(probs[cell == value].tolist())
+            if mass > best_mass:
+                guess = ((value >> (m - 1 - i)) & 1 for i in range(m))
+                best_bets, best_mass = tuple(zip(positions, guess)), mass
+    return best_bets, best_mass

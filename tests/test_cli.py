@@ -266,6 +266,10 @@ def test_cli_error_envelope_missing_spec(capsys):
         (["game", "--spec", "uniform^2", "--samples", "0"], "BadSampleCount"),
         (["game", "--spec", "uniform^2", "--samples", "-5"], "BadSampleCount"),
         (["figure3", "--n-list", "100,abc"], "BadNList"),
+        (["entropy", "--spec", "explicit{L: 0.5, R: 0.4999999999}",
+          "--epsilon", "0.99999999999"], "BadEpsilon"),
+        (["game", "--spec", "explicit{L: 0.5, R: 0.4999999999}",
+          "--epsilon", "0.99999999999"], "BadEpsilon"),
     ],
 )
 def test_cli_bad_arguments_are_input_errors(argv, code, capsys):

@@ -16,9 +16,11 @@ from szilard import (
     riskfree_work,
     shannon,
     smooth_report,
+    uniform_product,
 )
 from szilard.compress import BIASED, KNOWN, UNIFORM
 from szilard.errors import BiasedBitsPresent, IndexOutOfRange, SamePosition
+from szilard.probdist import apply_permutation
 
 from util import random_explicit
 
@@ -106,6 +108,46 @@ def test_entropy_report_invariant_under_plan(rng):
         eps = float(rng.uniform(0.0, 0.3))
         compressed = apply_plan(d, canonical_permutation(d))
         assert smooth_report(compressed, eps) == smooth_report(d, eps)
+
+
+def reference_plan(d):
+    """Sort by (-prob, index), relabel densely, then profile the relabeled table."""
+    size = 1 << d.n
+    perm = np.empty(size, dtype=np.int64)
+    perm[d.indices[np.lexsort((d.indices, -d.probs))]] = np.arange(d.support_size)
+    perm[np.setdiff1d(np.arange(size), d.indices)] = np.arange(d.support_size, size)
+    return perm, bit_profile(apply_permutation(d, perm))
+
+
+def plan_cases(rng, case):
+    for _ in range(30):
+        n = int(rng.integers(1, 10))
+        if case == "dense":
+            yield random_explicit(rng, n, 1 << n)
+        elif case == "sparse":
+            yield random_explicit(rng, n + 6, int(rng.integers(2, 40)))
+        elif case == "tied":
+            yield random_explicit(rng, n, levels=(1.0, 2.0, 3.0))
+        elif case == "odd_support":
+            n += 1
+            k = int(rng.integers(3, (1 << n) + 1))
+            yield random_explicit(rng, n, k - 1 if k & (k - 1) == 0 else k)
+        elif case == "single":
+            yield random_explicit(rng, n, 1)
+        else:
+            yield explicit_of(uniform_product(n))
+
+
+@pytest.mark.parametrize("case", ["dense", "sparse", "tied", "odd_support", "single", "uniform"])
+def test_canonical_permutation_matches_reference_construction(rng, case):
+    for d in plan_cases(rng, case):
+        plan = canonical_permutation(d)
+        perm, profile = reference_plan(d)
+        assert np.array_equal(plan.permutation, perm)
+        assert plan.profile == profile
+        assert plan.profile == bit_profile(apply_plan(d, plan))
+        if case == "uniform":
+            assert all(b.kind == UNIFORM for b in plan.profile)
 
 
 # ---------------------------------------------------------------- profiles

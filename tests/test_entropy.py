@@ -121,6 +121,15 @@ def test_h_max_smooth_bad_epsilon():
         h_max_smooth(pex(), -0.1)
 
 
+def test_h_min_smooth_rejects_epsilon_covering_the_whole_mass():
+    # the table sums to 1 - 1e-10, which make_explicit accepts
+    d = make_explicit(1, [("L", 0.5), ("R", 0.4999999999)])
+    with pytest.raises(BadEpsilon):
+        h_min_smooth(d, 0.99999999999)
+    with pytest.raises(BadEpsilon):
+        h_min_smooth_detail(d, d.total())
+
+
 def test_h_max_smooth_witness_is_in_ball_and_achieves_value(rng):
     for _ in range(20):
         d = random_explicit(rng, 4)

@@ -37,7 +37,7 @@ from szilard.errors import (
     NonpositiveTemperature,
 )
 from szilard.game import check_inequalities, riskfree_bet_count
-from szilard.oracle import exhaustive_game_eval
+from szilard.oracle import exhaustive_gambler_search, exhaustive_game_eval
 
 from util import random_explicit
 
@@ -286,6 +286,26 @@ def test_gambler_strategy_beats_random_bet_sets(rng):
         bets = tuple((p, int(rng.integers(0, 2))) for p in positions)
         rival = exact_evaluate(d, Strategy(plan, bets, float(m))).success_prob
         assert best >= rival - 1e-12
+
+
+def test_gambler_strategy_matches_exhaustive_search(rng):
+    for trial in range(240):
+        n = int(rng.integers(1, 9))
+        d = random_explicit(rng, n, levels=(1.0, 2.0, 3.0) if trial % 2 else None)
+        m = int(rng.integers(1, n + 1))
+        bets, peak = exhaustive_gambler_search(d, m)
+        s = build_gambler_strategy(d, m, 1.0)
+        assert s.bets == bets
+        top = math.fsum(np.sort(d.probs)[::-1][: 1 << (n - m)].tolist())
+        assert exact_evaluate(d, s).success_prob == pytest.approx(top, abs=1e-12)
+        assert peak == pytest.approx(top, abs=1e-12)
+
+
+def test_gambler_strategy_bets_leading_boxes_beyond_sixteen():
+    d = explicit_of(bernoulli_product(0.7, 18))
+    s = build_gambler_strategy(d, 5, 1.0)
+    assert s.bets == tuple((pos, 0) for pos in range(5))
+    assert exact_evaluate(d, s).success_prob == pytest.approx(0.43022131113874296, abs=1e-12)
 
 
 def test_gambler_strategy_bad_bet_size():

@@ -19,6 +19,7 @@ from szilard.game import Strategy
 from szilard.oracle import (
     brute_hmax_smooth,
     brute_hmin_smooth,
+    exhaustive_gambler_search,
     exhaustive_game_eval,
     exhaustive_strategy_search,
 )
@@ -101,3 +102,14 @@ def test_search_matches_greedy_formula(rng):
 def test_search_rejects_large_n():
     with pytest.raises(TooLarge):
         exhaustive_strategy_search(explicit_of(uniform_product(4)), 0.0, 1.0)
+
+
+def test_gambler_search_on_correlated_pair():
+    d = make_explicit(2, [("LL", 0.5), ("RR", 0.5)])
+    assert exhaustive_gambler_search(d, 1) == (((0, 0),), 1.0)
+    assert exhaustive_gambler_search(d, 2) == (((0, 0), (1, 0)), 0.5)
+
+
+def test_gambler_search_rejects_large_n():
+    with pytest.raises(TooLarge):
+        exhaustive_gambler_search(point_mass("L" * 13), 1)

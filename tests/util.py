@@ -10,13 +10,20 @@ def random_explicit(
     rng: np.random.Generator,
     n: int,
     support_size: int | None = None,
+    levels: tuple[float, ...] | None = None,
 ) -> ExplicitDistribution:
-    """Random explicit distribution on n boxes with a random (or given) support."""
+    """Random explicit distribution on n boxes with a random (or given) support.
+
+    Weights are exponential draws, or draws from ``levels`` to make ties.
+    """
     space = 1 << n
     if support_size is None:
         support_size = int(rng.integers(1, space + 1))
     idx = rng.choice(space, size=support_size, replace=False)
-    raw = rng.exponential(size=support_size)
+    if levels is None:
+        raw = rng.exponential(size=support_size)
+    else:
+        raw = rng.choice(levels, size=support_size)
     probs = raw / raw.sum()
     return make_explicit(n, list(zip(idx.tolist(), probs.tolist())))
 
