@@ -77,6 +77,6 @@ from .probdist import (
     to_type_classes,
     uniform_product,
 )
-from .rng import make_rng, split_rngs
+from .rng import make_rng
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import compress, entropy, game, oracle, probdist
+from . import entropy, game, oracle, probdist
 from .errors import ArityMismatch, BadNList, ParseError, SzilardError, WeightSumError
 
 DEFAULT_EPSILON = 1e-3
@@ -255,19 +255,19 @@ def _product_left_prob(node) -> float | None:
     return None
 
 
-def _term_explicit(node, cap: int) -> probdist.ExplicitDistribution:
+def _term_explicit(node) -> probdist.ExplicitDistribution:
     if isinstance(node, SpecDet):
         return probdist.point_mass(probdist.Outcome(node.bits))
     if isinstance(node, SpecExplicit):
         n = len(node.pairs[0][0])
         return probdist.make_explicit(
-            n, [(probdist.Outcome(bits), p) for bits, p in node.pairs], cap=cap
+            n, [(probdist.Outcome(bits), p) for bits, p in node.pairs]
         )
     q = _product_left_prob(node)
-    return probdist.explicit_of(probdist.bernoulli_product(q, spec_arity(node)), cap=cap)
+    return probdist.explicit_of(probdist.bernoulli_product(q, spec_arity(node)))
 
 
-def to_distribution(node, cap: int = probdist.DEFAULT_EXPLICIT_CAP):
+def to_distribution(node):
     """Structured (mixture) representation when possible, else explicit."""
     if isinstance(node, SpecMix):
         weights = [w for w, _ in node.terms]
@@ -280,7 +280,7 @@ def to_distribution(node, cap: int = probdist.DEFAULT_EXPLICIT_CAP):
                 [probdist.bernoulli_product(q, spec_arity(node)) for q in lefts],
             )
         n = spec_arity(node)
-        parts = [(w, _term_explicit(t, cap)) for w, (_, t) in zip(weights, node.terms)]
+        parts = [(w, _term_explicit(t)) for w, (_, t) in zip(weights, node.terms)]
         dense: dict[int, float] = {}
         for w, part in parts:
             for idx, p in zip(part.indices.tolist(), part.probs.tolist()):
@@ -293,7 +293,7 @@ def to_distribution(node, cap: int = probdist.DEFAULT_EXPLICIT_CAP):
     q = _product_left_prob(node)
     if q is not None:
         return probdist.bernoulli_product(q, spec_arity(node))
-    return _term_explicit(node, cap)
+    return _term_explicit(node)
 
 
 # ----------------------------------------------------------------- rendering
@@ -338,20 +338,20 @@ def cmd_entropy(spec_text: str, eps: float) -> dict:
 
 
 def cmd_work(spec_text: str, eps: float, temperature: float) -> dict:
-    node = parse_spec(spec_text)
-    dist = to_distribution(node)
+    dist = to_distribution(parse_spec(spec_text))
+    spec = entropy.spectrum(dist)
     c = game.work_unit(temperature)
     out = {
         "n": dist.n,
         "epsilon": eps,
         "temperature_kelvin": temperature,
         "work_value": _work_dict(c),
-        "min_work": _work_dict(game.riskfree_work(dist, eps, c.joules)),
+        "min_work": _work_dict(game.riskfree_work(spec, eps, c.joules)),
         "min_work_executable": _work_dict(
-            game.riskfree_work_executable(dist, eps, c.joules)
+            game.riskfree_work_executable(spec, eps, c.joules)
         ),
         "max_work": (
-            _work_dict(game.gambler_work_bound(dist, eps, c.joules)) if eps > 0 else None
+            _work_dict(game.gambler_work_bound(spec, eps, c.joules)) if eps > 0 else None
         ),
         "shannon_limit": None,
         "bennett": None,
@@ -359,19 +359,13 @@ def cmd_work(spec_text: str, eps: float, temperature: float) -> dict:
     if isinstance(dist, probdist.MixtureOfProducts) and len(dist.components) == 1:
         q = dist.components[0][1]
         out["shannon_limit"] = _work_dict(game.shannon_limit_work(q, dist.n, c.joules))
-    explicit = None
-    if isinstance(dist, probdist.ExplicitDistribution):
-        explicit = dist
-    elif (1 << dist.n) <= probdist.DEFAULT_EXPLICIT_CAP:
-        explicit = probdist.explicit_of(dist)
-    if explicit is not None:
-        plan = compress.canonical_permutation(explicit)
-        if not any(b.kind == compress.BIASED for b in plan.profile):
-            out["bennett"] = _work_dict(
-                game.Work.from_bits(
-                    compress.bennett_work(plan.profile, 1.0), c.joules
-                )
-            )
+    # compression leaves every box known or uniform exactly when the
+    # distribution is flat on 2^j outcomes; then j boxes are unknown
+    if spec.count is not None and spec.count.size == 1:
+        k = int(spec.count[0])
+        if k & (k - 1) == 0:
+            known = dist.n - (k.bit_length() - 1)
+            out["bennett"] = _work_dict(game.Work.from_bits(known, c.joules))
     return out
 
 

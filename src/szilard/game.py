@@ -37,6 +37,7 @@ from .errors import (
     BadSampleCount,
     InvalidBets,
     NonpositiveTemperature,
+    TooLarge,
 )
 from .probdist import ExplicitDistribution, sample_indices
 from .rng import make_rng
@@ -73,7 +74,6 @@ class WorkBounds:
 class GameConfig:
     temperature: float = 300.0
     epsilon: float = 1e-3
-    boltzmann: float = BOLTZMANN_J_PER_K
     seed: int = 0
     n_samples: int = 100_000
 
@@ -84,10 +84,12 @@ class GameConfig:
             raise BadEpsilon(f"epsilon {self.epsilon}")
         if self.n_samples < 1:
             raise BadSampleCount(f"need at least one Monte Carlo sample, got {self.n_samples}")
+        if self.n_samples > 10**7:  # Monte Carlo holds about 40 bytes per play
+            raise TooLarge(f"{self.n_samples} Monte Carlo samples exceed 10**7")
 
     @property
     def work_value(self) -> float:
-        return self.boltzmann * self.temperature * math.log(2.0)
+        return work_unit(self.temperature).joules
 
 
 @dataclass(frozen=True)

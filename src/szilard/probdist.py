@@ -29,6 +29,7 @@ from .errors import (
     NotNormalized,
     SupportOverflow,
     SzilardError,
+    TooLarge,
     WeightSumError,
 )
 from .numerics import binomials, logsumexp2, popcount
@@ -323,6 +324,8 @@ def to_type_classes(m: MixtureOfProducts) -> TypeClassView:
     convention applies to the k = 0 and k = n exponents.
     """
     n = m.n
+    if n > 10**7:  # the class arrays take about 85 bytes per box
+        raise TooLarge(f"{n} boxes exceed the type-class limit of 10**7")
     ks = np.arange(n + 1, dtype=float)
     per_component = np.full((len(m.components), n + 1), -np.inf)
     for j, (w, q) in enumerate(m.components):
@@ -331,7 +334,8 @@ def to_type_classes(m: MixtureOfProducts) -> TypeClassView:
         with np.errstate(invalid="ignore"):
             left = np.where(ks == n, 0.0, (n - ks) * logq)
             right = np.where(ks == 0, 0.0, ks * log1mq)
-        per_component[j] = math.log2(w) + left + right
+        # left + right is exactly -n in every class when q = 1/2: uniform terms stay flat
+        per_component[j] = math.log2(w) + (left + right)
     with np.errstate(invalid="ignore", divide="ignore"):
         mx = np.max(per_component, axis=0)
         log_prob = np.where(

@@ -1,8 +1,7 @@
 """Seeded random generators for reproducible simulation.
 
-Philox is counter-based, so streams are cheap to split and replay is exact:
-the same 64-bit seed always yields the same draw sequence, and spawned
-child streams are statistically independent of the parent and of each other.
+Philox is counter-based, so replay is exact: the same 64-bit seed always
+yields the same draw sequence.
 """
 from __future__ import annotations
 
@@ -12,9 +11,3 @@ import numpy as np
 def make_rng(seed: int) -> np.random.Generator:
     """Generator over a Philox counter-based stream keyed by ``seed``."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
-def split_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    """``count`` independent child streams of the stream keyed by ``seed``."""
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [np.random.Generator(np.random.Philox(c)) for c in children]

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from szilard import ExplicitDistribution, MixtureOfProducts
+from szilard import (
+    ExplicitDistribution,
+    MixtureOfProducts,
+    bennett_work,
+    canonical_permutation,
+    compress,
+    probdist,
+)
 from szilard.cli import (
     cmd_entropy,
     cmd_work,
@@ -18,7 +25,10 @@ from szilard.cli import (
     render_spec,
     to_distribution,
 )
+from szilard.compress import BIASED
 from szilard.errors import ArityMismatch, ParseError, WeightSumError
+
+from util import random_explicit
 
 C300_EV = 0.0179192407638041
 
@@ -174,6 +184,62 @@ def test_cmd_work_reports_both_unit_systems():
     assert out["bennett"]["bits"] == 0.0
 
 
+def _explicit_spec(dist) -> str:
+    return "explicit{" + ", ".join(f"{o}: {p!r}" for o, p in dist.items()) + "}"
+
+
+def test_cmd_work_bennett_matches_the_compressed_profile(rng):
+    figures = 0
+    for trial in range(240):
+        n = int(rng.integers(1, 9))
+        kind = trial % 4
+        if kind == 0:  # flat on 2^j outcomes
+            d = random_explicit(rng, n, 1 << int(rng.integers(0, n + 1)), levels=(1.0,))
+        elif kind == 1:  # flat on any number of outcomes
+            d = random_explicit(rng, n, levels=(1.0,))
+        elif kind == 2:
+            d = random_explicit(rng, n, levels=(1.0, 2.0, 3.0))
+        else:
+            d = random_explicit(rng, n)
+        text = _explicit_spec(d)
+        bennett = cmd_work(text, 1e-3, 300.0)["bennett"]
+        profile = canonical_permutation(to_distribution(parse_spec(text))).profile
+        if any(b.kind == BIASED for b in profile):
+            assert bennett is None, text
+        else:
+            assert bennett["bits"] == bennett_work(profile, 1.0), text
+            figures += 1
+    assert figures >= 60
+
+
+@pytest.mark.parametrize(
+    "spec, bits",
+    [
+        ("uniform^1000", 0.0),
+        ("det(" + "L" * 32 + ")", 32.0),
+        ("mix(0.5: bernoulli(1.0)^1000, 0.5: bernoulli(0.0)^1000)", 999.0),
+        ("mix(0.3: uniform^1000, 0.7: uniform^1000)", 0.0),
+        # flat only within the profile tolerance: its boxes are biased
+        ("explicit{LL: 0.25, LR: 0.25, RL: 0.2500000000001, RR: 0.2499999999999}", None),
+        ("uniform^3000", None),  # counts exist only as log2 values
+    ],
+)
+def test_cmd_work_bennett_from_the_spectrum(spec, bits):
+    bennett = cmd_work(spec, 1e-3, 300.0)["bennett"]
+    assert (None if bennett is None else bennett["bits"]) == bits
+
+
+def test_cmd_work_expands_and_compresses_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cmd_work must not expand or compress")
+
+    monkeypatch.setattr(probdist, "explicit_of", refuse)
+    monkeypatch.setattr(compress, "canonical_permutation", refuse)
+    out = cmd_work("bernoulli(0.7)^20", 1e-3, 300.0)
+    assert out["bennett"] is None
+    assert out["min_work_executable"]["bits"] == 0.0
+
+
 def test_cmd_table1_rows(capsys):
     import csv as csv_mod
     import io
@@ -270,6 +336,8 @@ def test_cli_error_envelope_missing_spec(capsys):
           "--epsilon", "0.99999999999"], "BadEpsilon"),
         (["game", "--spec", "explicit{L: 0.5, R: 0.4999999999}",
           "--epsilon", "0.99999999999"], "BadEpsilon"),
+        (["game", "--spec", "uniform^2", "--samples", "1000000000000"], "TooLarge"),
+        (["entropy", "--spec", "bernoulli(0.7)^1000000000000"], "TooLarge"),
     ],
 )
 def test_cli_bad_arguments_are_input_errors(argv, code, capsys):

@@ -35,6 +35,7 @@ from szilard.errors import (
     BadSampleCount,
     InvalidBets,
     NonpositiveTemperature,
+    TooLarge,
 )
 from szilard.game import check_inequalities, riskfree_bet_count
 from szilard.oracle import exhaustive_gambler_search, exhaustive_game_eval
@@ -407,3 +408,6 @@ def test_game_config_validation():
         GameConfig(epsilon=1.5)
     with pytest.raises(BadSampleCount):
         GameConfig(n_samples=0)
+    with pytest.raises(TooLarge):
+        GameConfig(n_samples=10**12)
+    assert GameConfig(n_samples=10**7).n_samples == 10**7

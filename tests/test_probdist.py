@@ -35,6 +35,7 @@ from szilard.errors import (
     NotBijective,
     NotNormalized,
     SupportOverflow,
+    TooLarge,
     WeightSumError,
 )
 from szilard.rng import make_rng
@@ -201,6 +202,13 @@ def test_explicit_of_matches_mixture_entrywise(rng):
             assert d.prob_of(o) == pytest.approx(
                 2.0 ** view.class_log_prob[k], abs=1e-12
             )
+
+
+def test_to_type_classes_refuses_huge_n():
+    with pytest.raises(TooLarge):
+        to_type_classes(bernoulli_product(0.7, 10**12))
+    with pytest.raises(TooLarge):
+        explicit_of(uniform_product(10**12))
 
 
 def test_explicit_of_cap():
