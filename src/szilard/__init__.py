@@ -71,6 +71,7 @@ from .probdist import (
     mixture,
     point_mass,
     sample,
+    sample_counts,
     sample_indices,
     statistical_distance,
     tensor,

@@ -8,6 +8,7 @@ for work, while the randomness is squeezed into the trailing boxes.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +30,41 @@ class BitInfo:
     value: int | None = None  # fixed content for known bits (0=L, 1=R)
 
 
-@dataclass(frozen=True, eq=False)
 class CompressionPlan:
-    """A permutation of outcome indices plus the resulting per-box profile."""
+    """A permutation of outcome indices and the per-box profile it leaves.
 
-    n: int
-    permutation: np.ndarray
-    profile: tuple[BitInfo, ...]
+    A general plan is given by its dense permutation,
+    ``CompressionPlan(n, permutation, profile)``. A canonical plan holds
+    only its table and ``ranks``, the new index of each support entry of
+    the table; the dense permutation and the profile are built from them
+    the first time they are read, and the game reads neither.
+    """
+
+    def __init__(self, n: int, permutation=None, profile=None, *, table=None, ranks=None):
+        if permutation is None and ranks is None:
+            raise TypeError("a plan needs a permutation or a table's ranks")
+        self.n = n
+        self.table = table
+        self.ranks = ranks
+        # set values shadow the lazy builders below
+        if permutation is not None:
+            self.permutation = permutation
+        if profile is not None:
+            self.profile = profile
+
+    @functools.cached_property
+    def permutation(self) -> np.ndarray:
+        return _dense_permutation(self.table, self.ranks)
+
+    @functools.cached_property
+    def profile(self) -> tuple[BitInfo, ...]:
+        return _canonical_profile(self.table)
+
+    def image(self, dist: ExplicitDistribution) -> np.ndarray:
+        """New index of each support entry of ``dist``, in index order."""
+        if dist is self.table:
+            return self.ranks
+        return self.permutation[dist.indices]
 
 
 def bit_profile(dist: ExplicitDistribution) -> tuple[BitInfo, ...]:
@@ -56,19 +85,25 @@ def bit_profile(dist: ExplicitDistribution) -> tuple[BitInfo, ...]:
 
 
 def canonical_permutation(dist: ExplicitDistribution) -> CompressionPlan:
-    """The probability-sorting relabeling.
+    """The probability-sorting relabeling, as ranks of the support.
 
     Support outcomes map to indices 0..k-1 in order of non-increasing
     probability; ties and the zero-probability remainder keep their original
-    index order, which makes recompression the identity.
-
-    The compressed table is (0..k-1, sorted probs) by construction, so its
-    profile is read off directly: a box of weight w >= k is known L, and a
-    trailing box sums its R half in the same order as ``bit_profile``.
+    index order, which makes recompression the identity. Only the k ranks
+    are computed here, by a stable sort of the table's level ids (indices
+    ascend, so ties break by index).
     """
-    n, k, size = dist.n, dist.support_size, 1 << dist.n
-    # indices ascend, so a stable sort breaks ties by index
-    order = np.argsort(-dist.probs, kind="stable")
+    k = dist.support_size
+    ranks = np.empty(k, dtype=np.int64)
+    ranks[np.argsort(dist.level_ids, kind="stable")] = np.arange(k)
+    ranks.setflags(write=False)
+    return CompressionPlan(dist.n, table=dist, ranks=ranks)
+
+
+def _dense_permutation(dist: ExplicitDistribution, ranks: np.ndarray) -> np.ndarray:
+    """The whole relabeling of 2^n indices: support entries go to their
+    ranks, and the other indices fill k.. in index order."""
+    k, size = dist.support_size, 1 << dist.n
     if k < size:
         # a non-support index x goes to k + (number of non-support indices below x)
         perm = np.ones(size, dtype=np.int64)
@@ -77,9 +112,19 @@ def canonical_permutation(dist: ExplicitDistribution) -> CompressionPlan:
         np.cumsum(perm, out=perm)
     else:
         perm = np.empty(size, dtype=np.int64)
-    perm[dist.indices[order]] = np.arange(k)
+    perm[dist.indices] = ranks
     perm.setflags(write=False)
-    probs = dist.probs[order]
+    return perm
+
+
+def _canonical_profile(dist: ExplicitDistribution) -> tuple[BitInfo, ...]:
+    """The profile of the compressed table (0..k-1, probabilities descending).
+
+    A box of weight w >= k is known L, and a trailing box sums its R half
+    in the same order as ``bit_profile``.
+    """
+    n, k = dist.n, dist.support_size
+    probs = np.repeat(dist.levels.p, dist.levels.count)
     total = probs.sum()
     buf = np.empty(k // 2)  # no box of weight w < k reads R on more than k/2 outcomes
     profile = []
@@ -97,7 +142,7 @@ def canonical_permutation(dist: ExplicitDistribution) -> CompressionPlan:
         ones[rows.size :] = tail
         p_one = float(ones.sum() / total)
         profile.append(BitInfo(UNIFORM if abs(p_one - 0.5) <= UNIFORMITY_TOL else BIASED))
-    return CompressionPlan(n, perm, tuple(profile))
+    return tuple(profile)
 
 
 def apply_plan(dist: ExplicitDistribution, plan: CompressionPlan) -> ExplicitDistribution:

@@ -121,15 +121,14 @@ def binary_entropy(p: float) -> float:
 def spectrum(dist: Distribution) -> Spectrum:
     """The spectrum of a distribution; a spectrum is returned as it is.
 
-    Explicit tables group equal probabilities (exact int64 counts). Type
-    classes are sorted by per-string probability, and classes of equal
-    probability share one level.
+    Explicit tables read their cached level decomposition (exact int64
+    counts). Type classes are sorted by per-string probability, and classes
+    of equal probability share one level.
     """
     if isinstance(dist, Spectrum):
         return dist
     if isinstance(dist, ExplicitDistribution):
-        p, count = np.unique(dist.probs, return_counts=True)
-        p, count = p[::-1], count[::-1].astype(np.int64)
+        p, count = dist.levels.p, dist.levels.count
         return Spectrum(dist.n, np.log2(p), p * count, np.log2(count), count)
     view = to_type_classes(dist) if isinstance(dist, MixtureOfProducts) else dist
     sup = np.flatnonzero(view.support_classes())

@@ -39,7 +39,7 @@ from .errors import (
     NonpositiveTemperature,
     TooLarge,
 )
-from .probdist import ExplicitDistribution, sample_indices
+from .probdist import ExplicitDistribution, sample_counts
 from .rng import make_rng
 
 BOLTZMANN_J_PER_K = 1.380649e-23  # CODATA exact
@@ -192,8 +192,8 @@ def exact_evaluate(dist: ExplicitDistribution, strategy: Strategy) -> ExactResul
     assignment on the bet positions; failure pays nothing.
     """
     _check_bets(dist.n, strategy.bets)
-    permuted = strategy.plan.permutation[dist.indices]
-    success = float(dist.probs[_match_mask(permuted, dist.n, strategy.bets)].sum())
+    image = strategy.plan.image(dist)
+    success = float(dist.probs[_match_mask(image, dist.n, strategy.bets)].sum())
     return ExactResult(success, success * strategy.committed_work)
 
 
@@ -231,14 +231,16 @@ def monte_carlo(
 
     Plays are i.i.d.; the full committed work is credited on each total
     match. Results are a pure function of (distribution, strategy, seed,
-    n_samples), so replay is exact.
+    n_samples), so replay is exact. The plays are counted per support
+    entry on the stream ``sample_indices`` draws from, and the wins are the
+    counts of the entries whose image matches the bets: the same number of
+    wins, and so the same rate, as matching the draws one by one.
     """
     _check_bets(dist.n, strategy.bets)
-    rng = make_rng(config.seed)
-    draws = sample_indices(dist, rng, config.n_samples)
-    permuted = strategy.plan.permutation[draws]
-    wins = _match_mask(permuted, dist.n, strategy.bets)
-    rate = float(wins.mean())
+    entries, counts = sample_counts(dist, make_rng(config.seed), config.n_samples)
+    image = strategy.plan.image(dist)[entries]
+    won = int(counts[_match_mask(image, dist.n, strategy.bets)].sum())
+    rate = won / config.n_samples
     stderr = math.sqrt(rate * (1.0 - rate) / config.n_samples)
     return MonteCarloEstimate(
         success_rate=rate,

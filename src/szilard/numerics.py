@@ -55,16 +55,6 @@ def log2_binomials(n: int) -> np.ndarray:
     return binomials(n)[0]
 
 
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
-
-
 def popcount(values: np.ndarray) -> np.ndarray:
-    """Number of set bits per element of a nonnegative int64/uint64 array."""
-    x = values.astype(np.uint64)
-    x = x - ((x >> np.uint64(1)) & _M1)
-    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-    x = (x + (x >> np.uint64(4))) & _M4
-    return ((x * _H01) >> np.uint64(56)).astype(np.int64)
+    """Number of set bits per element of a nonnegative integer array."""
+    return np.bitwise_count(values).astype(np.int64)

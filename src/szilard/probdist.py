@@ -12,6 +12,7 @@ R=1, so the all-L string is index 0.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -110,6 +111,15 @@ class LogProb:
 
 
 @dataclass(frozen=True, eq=False)
+class Levels:
+    """The distinct probabilities of a table, descending, and how many
+    support entries take each (int64)."""
+
+    p: np.ndarray
+    count: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class ExplicitDistribution:
     """Support of a distribution over {L,R}^n as aligned index/probability arrays.
 
@@ -126,6 +136,23 @@ class ExplicitDistribution:
     @property
     def support_size(self) -> int:
         return int(self.indices.size)
+
+    @functools.cached_property
+    def levels(self) -> Levels:
+        """The table's distinct probabilities: one sort, once per table."""
+        p, count = np.unique(self.probs, return_counts=True)
+        return Levels(_freeze(p[::-1]), _freeze(count[::-1].astype(np.int64)))
+
+    @functools.cached_property
+    def level_ids(self) -> np.ndarray:
+        """The level of each support entry (its index into ``levels.p``), in
+        the smallest unsigned type that holds the largest level."""
+        ascending = self.levels.p[::-1]
+        top = ascending.size - 1
+        # every probability is one of the levels, so its left insertion point is exact
+        ids = np.searchsorted(ascending, self.probs)
+        np.subtract(top, ids, out=ids)
+        return _freeze(ids.astype(np.min_scalar_type(top)))
 
     @property
     def p_max(self) -> float:
@@ -316,6 +343,11 @@ class TypeClassView:
         return np.isfinite(self.class_log_prob)
 
 
+def _check_class_limit(n: int):
+    if n > 10**7:  # the class arrays take about 85 bytes per box
+        raise TooLarge(f"{n} boxes exceed the type-class limit of 10**7")
+
+
 def to_type_classes(m: MixtureOfProducts) -> TypeClassView:
     """Aggregate a mixture over Hamming-weight classes, in log2 space.
 
@@ -324,8 +356,7 @@ def to_type_classes(m: MixtureOfProducts) -> TypeClassView:
     convention applies to the k = 0 and k = n exponents.
     """
     n = m.n
-    if n > 10**7:  # the class arrays take about 85 bytes per box
-        raise TooLarge(f"{n} boxes exceed the type-class limit of 10**7")
+    _check_class_limit(n)
     ks = np.arange(n + 1, dtype=float)
     per_component = np.full((len(m.components), n + 1), -np.inf)
     for j, (w, q) in enumerate(m.components):
@@ -356,13 +387,18 @@ def explicit_of(
     """Entrywise expansion of a structured distribution to an explicit table.
 
     Per-string probabilities below the smallest positive float collapse to
-    zero and drop out of the support.
+    zero and drop out of the support. Both size limits are checked on
+    ``dist.n`` before any class is built.
     """
+    _check_class_limit(dist.n)
+    _check_cap(dist.n, cap)
     view = to_type_classes(dist) if isinstance(dist, MixtureOfProducts) else dist
-    _check_cap(view.n, cap)
     idx = np.arange(1 << view.n, dtype=np.int64)
-    probs = np.exp2(view.class_log_prob[popcount(idx)])
-    return _from_arrays(view.n, idx, probs)
+    probs = np.exp2(view.class_log_prob)[popcount(idx)]
+    if not probs.all():
+        keep = probs > 0.0
+        idx, probs = idx[keep], probs[keep]
+    return ExplicitDistribution(view.n, _freeze(idx), _freeze(probs))
 
 
 def marginal(p: ExplicitDistribution, positions: Sequence[int]) -> ExplicitDistribution:
@@ -436,3 +472,29 @@ def sample_indices(
     probs = dist.probs / dist.probs.sum()
     picks = rng.choice(dist.indices.size, size=size, p=probs)
     return dist.indices[picks]
+
+
+def sample_counts(
+    dist: ExplicitDistribution, rng: np.random.Generator, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The support entries ``sample_indices`` would draw, and how often.
+
+    Returns the positions in the support drawn at least once, ascending,
+    and their int64 counts. numpy's ``choice(k, size, p=p)`` is
+    ``cdf.searchsorted(rng.random(size), side="right")`` over ``cdf =
+    cumsum(p); cdf /= cdf[-1]``, so this draws the same uniforms, sorts them
+    once and counts them between consecutive cdf entries. The generator ends
+    in the same state as after ``sample_indices``.
+    """
+    cdf = dist.probs / dist.probs.sum()
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    u = np.sort(rng.random(size))
+    if cdf.size < size:
+        # the uniforms below cdf[j] pick entries 0..j
+        hits = np.diff(np.searchsorted(u, cdf), prepend=0)
+        entries = np.flatnonzero(hits)
+        return entries, hits[entries]
+    picks = cdf.searchsorted(u, side="right")  # ascending, as u is
+    starts = np.flatnonzero(np.diff(picks, prepend=-1))
+    return picks[starts], np.diff(starts, append=size)

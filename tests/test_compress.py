@@ -18,7 +18,7 @@ from szilard import (
     smooth_report,
     uniform_product,
 )
-from szilard.compress import BIASED, KNOWN, UNIFORM
+from szilard.compress import BIASED, KNOWN, UNIFORM, CompressionPlan
 from szilard.errors import BiasedBitsPresent, IndexOutOfRange, SamePosition
 from szilard.probdist import apply_permutation
 
@@ -148,6 +148,22 @@ def test_canonical_permutation_matches_reference_construction(rng, case):
         assert plan.profile == bit_profile(apply_plan(d, plan))
         if case == "uniform":
             assert all(b.kind == UNIFORM for b in plan.profile)
+
+
+def test_canonical_plan_holds_ranks_and_builds_the_rest_on_request(rng):
+    for d in (random_explicit(rng, 6), random_explicit(rng, 12, 40)):
+        plan = canonical_permutation(d)
+        assert "permutation" not in vars(plan) and "profile" not in vars(plan)
+        assert plan.image(d) is plan.ranks
+        assert sorted(plan.ranks.tolist()) == list(range(d.support_size))
+        # another table on the same boxes is relabeled through the dense permutation
+        other = random_explicit(rng, d.n)
+        assert np.array_equal(plan.image(other), plan.permutation[other.indices])
+        dense = CompressionPlan(d.n, plan.permutation, plan.profile)
+        assert np.array_equal(dense.image(d), plan.ranks)
+        assert dense.profile == plan.profile
+    with pytest.raises(TypeError):
+        CompressionPlan(3)
 
 
 # ---------------------------------------------------------------- profiles

@@ -319,3 +319,33 @@ def test_aep_convergence_to_shannon_rate():
     assert all(a > b for a, b in zip(gap_min, gap_min[1:]))
     assert gap_max[-1] < 0.06
     assert gap_min[-1] < 0.06
+
+
+# ------------------------------------------------------- level decomposition
+
+
+def test_explicit_spectrum_is_the_unique_output(rng):
+    tables = [random_explicit(rng, int(rng.integers(1, 11))) for _ in range(20)]
+    tables += [random_explicit(rng, 8, levels=(1.0, 2.0, 3.0)) for _ in range(10)]
+    tables += [explicit_of(bernoulli_product(0.7, 12)), make_explicit(2, [("LR", 1.0)])]
+    for d in tables:
+        p, count = np.unique(d.probs, return_counts=True)
+        s = spectrum(d)
+        assert np.array_equal(s.log_p, np.log2(p[::-1]))
+        assert np.array_equal(s.mass, p[::-1] * count[::-1])
+        assert np.array_equal(s.log_count, np.log2(count[::-1]))
+        assert s.count.dtype == np.int64 and np.array_equal(s.count, count[::-1])
+        assert np.array_equal(d.levels.p[d.level_ids], d.probs)
+        assert spectrum(d).count is d.levels.count  # one decomposition per table
+
+
+@pytest.mark.parametrize(
+    "distinct, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
+                        (65536, np.uint16), (65537, np.uint32)],
+)
+def test_level_ids_take_the_smallest_unsigned_type(distinct, dtype):
+    raw = np.arange(1, distinct + 1, dtype=float)[::-1].copy()
+    d = make_explicit(17, list(zip(range(distinct), (raw / raw.sum()).tolist())))
+    assert d.level_ids.dtype == dtype and d.levels.p.size == distinct
+    assert np.array_equal(d.levels.p[d.level_ids], d.probs)
+    assert np.all(np.diff(d.levels.p) < 0)

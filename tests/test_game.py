@@ -28,6 +28,7 @@ from szilard import (
     work_bounds,
     work_unit,
 )
+from szilard import compress
 from szilard.compress import CompressionPlan
 from szilard.errors import (
     BadBetSize,
@@ -37,7 +38,9 @@ from szilard.errors import (
     NonpositiveTemperature,
     TooLarge,
 )
-from szilard.game import check_inequalities, riskfree_bet_count
+from szilard.game import MonteCarloEstimate, check_inequalities, riskfree_bet_count
+from szilard.probdist import sample_indices
+from szilard.rng import make_rng
 from szilard.oracle import exhaustive_gambler_search, exhaustive_game_eval
 
 from util import random_explicit
@@ -349,6 +352,86 @@ def test_monte_carlo_brackets_exact_success(rng):
         if abs(mc.success_rate - exact) > band and band > 0:
             misses += 1
     assert misses <= 1
+
+
+def _draw_by_draw(d, s, config):
+    """Monte Carlo the way it was first written: one index per play, relabeled
+    through the dense permutation and matched against the bets."""
+    draws = sample_indices(d, make_rng(config.seed), config.n_samples)
+    permuted = s.plan.permutation[draws]
+    mask = want = 0
+    for pos, val in s.bets:
+        mask |= 1 << (d.n - 1 - pos)
+        want |= val << (d.n - 1 - pos)
+    rate = float(((permuted & mask) == want).mean())
+    return MonteCarloEstimate(
+        rate, rate * s.committed_work, math.sqrt(rate * (1.0 - rate) / config.n_samples),
+        config.seed, config.n_samples,
+    )
+
+
+def test_monte_carlo_equals_the_draw_by_draw_reference(rng):
+    for i in range(200):
+        n = int(rng.integers(1, 9))
+        kind = i % 5
+        if kind == 0:
+            d = random_explicit(rng, n)
+        elif kind == 1:  # sparse: support far below the 2^n outcomes
+            d = random_explicit(rng, n + 8, int(rng.integers(2, 300)))
+        elif kind == 2:
+            d = random_explicit(rng, n, levels=(1.0, 2.0, 3.0))
+        elif kind == 3:
+            d = random_explicit(rng, n, 1)
+        else:
+            d = explicit_of(bernoulli_product(float(rng.uniform(0.05, 0.95)), n + 4))
+        config = GameConfig(
+            seed=int(rng.integers(2**32)), n_samples=int(rng.choice([1, 9, 100, 5000]))
+        )
+        m = int(rng.integers(1, d.n + 1))
+        strategies = [
+            build_riskfree_strategy(d, float(rng.uniform(0.0, 0.3)), 1.0),
+            build_gambler_strategy(d, m, 1.5),
+        ]
+        if d.n <= 10:  # a random dense relabeling, as in criteria 6 and 10
+            positions = sorted(rng.choice(d.n, size=m, replace=False).tolist())
+            bets = tuple((p, int(rng.integers(0, 2))) for p in positions)
+            perm = rng.permutation(1 << d.n).astype(np.int64)
+            strategies.append(Strategy(CompressionPlan(d.n, perm, ()), bets, float(m)))
+        for s in strategies:
+            assert monte_carlo(d, s, config) == _draw_by_draw(d, s, config)
+            permuted = s.plan.permutation[d.indices]
+            hit = np.ones(d.support_size, dtype=bool)
+            for pos, val in s.bets:
+                hit &= ((permuted >> (d.n - 1 - pos)) & 1) == val
+            assert exact_evaluate(d, s).success_prob == float(d.probs[hit].sum())
+
+
+def test_game_on_an_explicit_table_builds_no_dense_permutation(monkeypatch):
+    d = explicit_of(bernoulli_product(0.7, 12))
+    dense = compress._dense_permutation
+
+    def refuse(*args):
+        raise AssertionError("the game must not build the dense permutation")
+
+    sorts = []
+    unique = np.unique
+
+    def counting_unique(*args, **kwargs):
+        sorts.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(compress, "_dense_permutation", refuse)
+    monkeypatch.setattr(np, "unique", counting_unique)
+    s = build_riskfree_strategy(d, 1e-3, 1.0)
+    exact = exact_evaluate(d, s)
+    mc = monte_carlo(d, s, GameConfig(seed=5, n_samples=20_000))
+    assert check_inequalities(d, s, exact, 1e-3, 1.0) == []
+    work_bounds(d, 1e-3, 1.0)
+    assert len(sorts) == 1 and "permutation" not in vars(s.plan)
+    monkeypatch.setattr(compress, "_dense_permutation", dense)
+    # the lazily built relabeling is the one the ranks describe
+    assert np.array_equal(s.plan.permutation[d.indices], s.plan.ranks)
+    assert mc == _draw_by_draw(d, s, GameConfig(seed=5, n_samples=20_000))
 
 
 # ---------------------------------------------------------------- theorems

@@ -18,6 +18,7 @@ from szilard import (
     mixture,
     point_mass,
     sample,
+    sample_counts,
     sample_indices,
     shannon,
     statistical_distance,
@@ -38,6 +39,8 @@ from szilard.errors import (
     TooLarge,
     WeightSumError,
 )
+from szilard import probdist
+from szilard.numerics import popcount
 from szilard.rng import make_rng
 
 from util import random_explicit, random_mixture_params
@@ -216,6 +219,50 @@ def test_explicit_of_cap():
         explicit_of(bernoulli_product(0.5, 30))
 
 
+def test_explicit_of_checks_the_cap_before_building_classes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cap must be checked before any class is built")
+
+    monkeypatch.setattr(probdist, "to_type_classes", refuse)
+    with pytest.raises(SupportOverflow):
+        explicit_of(bernoulli_product(0.7, 10**6))
+    with pytest.raises(SupportOverflow):
+        explicit_of(bernoulli_product(0.7, 25))
+
+
+def test_explicit_of_drops_underflowed_strings():
+    # 3 boxes at q = 1e-200: LLL (1e-600) and the one-R strings (1e-400)
+    # underflow to zero; the two-R strings (1e-200) and RRR stay
+    d = explicit_of(bernoulli_product(1e-200, 3))
+    assert d.indices.tolist() == [3, 5, 6, 7]
+    assert np.all(d.probs > 0.0)
+    assert not d.indices.flags.writeable and not d.probs.flags.writeable
+    full = explicit_of(bernoulli_product(0.7, 4))
+    assert full.indices.tolist() == list(range(16))
+
+
+def test_explicit_of_probabilities_are_the_class_probabilities(rng):
+    # each class probability is exponentiated once and spread over the class;
+    # the floats equal exponentiating every string's log-probability
+    for n in range(1, 15):
+        weights, lefts = random_mixture_params(rng, n)
+        m = mixture(weights, [bernoulli_product(q, n) for q in lefts])
+        view = to_type_classes(m)
+        d = explicit_of(m)
+        assert np.array_equal(d.probs, np.exp2(view.class_log_prob[popcount(d.indices)]))
+
+
+def test_popcount_counts_set_bits(rng):
+    values = np.concatenate([
+        np.arange(1 << 12, dtype=np.int64),
+        rng.integers(0, 2**62, size=2000, dtype=np.int64),
+        np.array([2**62 - 1, 2**62, 2**63 - 1], dtype=np.int64),
+    ])
+    out = popcount(values)
+    assert out.dtype == np.int64
+    assert out.tolist() == [bin(v).count("1") for v in values.tolist()]
+
+
 # ---------------------------------------------------------------- marginal
 
 
@@ -350,6 +397,48 @@ def test_view_sampling_matches_class_masses():
     assert weights == {0, 6}
     frac0 = sum(1 for o in draws if sum(o.bits) == 0) / len(draws)
     assert abs(frac0 - 0.5) <= 0.05
+
+
+def test_choice_is_a_search_of_uniforms_in_the_cdf():
+    # sample_counts relies on Generator.choice(k, size, p=p) being exactly
+    # cdf.searchsorted(random(size), side="right") with cdf = cumsum(p) / its
+    # last entry; a numpy release that changes choice fails here
+    tables = [np.array([1.0])]
+    gen = np.random.default_rng(5)
+    for k in (2, 3, 17, 1000, 70_000):
+        raw = gen.exponential(size=k)
+        tables.append(raw / raw.sum())
+    tiny = np.array([1.0, 1e-300, 5e-324, 1e-310, 1e-17, 3e-308])
+    tables.append(tiny / tiny.sum())
+    for p in tables:
+        for seed in (0, 1, 99, 2**40 + 3):
+            for size in (1, 5000):
+                want = make_rng(seed).choice(p.size, size=size, p=p)
+                cdf = np.cumsum(p)
+                cdf /= cdf[-1]
+                got = cdf.searchsorted(make_rng(seed).random(size), side="right")
+                assert np.array_equal(want, got)
+
+
+def test_sample_counts_count_the_sampled_indices(rng):
+    tables = [
+        point_mass("LRL"),
+        make_explicit(2, [("LL", 0.5), ("RR", 0.5)]),
+        random_explicit(rng, 4, levels=(1.0, 2.0)),
+        random_explicit(rng, 10, 1 << 10),
+        random_explicit(rng, 16, 3000),
+    ]
+    for d in tables:
+        for seed in (3, 4):
+            for size in (1, 7, 2000, 20_000):
+                gen_a, gen_b = make_rng(seed), make_rng(seed)
+                entries, counts = sample_counts(d, gen_a, size)
+                draws = sample_indices(d, gen_b, size)
+                want = np.bincount(np.searchsorted(d.indices, draws))
+                assert np.array_equal(entries, np.flatnonzero(want))
+                assert counts.dtype == np.int64 and np.array_equal(counts, want[entries])
+                # the generator is left where sample_indices leaves it
+                assert gen_a.random() == gen_b.random()
 
 
 def test_sampling_soundness_tv_band(rng):
