@@ -71,7 +71,6 @@ from .probdist import (
     mixture,
     point_mass,
     sample,
-    sample_counts,
     sample_indices,
     statistical_distance,
     tensor,

@@ -90,12 +90,20 @@ def canonical_permutation(dist: ExplicitDistribution) -> CompressionPlan:
     Support outcomes map to indices 0..k-1 in order of non-increasing
     probability; ties and the zero-probability remainder keep their original
     index order, which makes recompression the identity. Only the k ranks
-    are computed here, by a stable sort of the table's level ids (indices
-    ascend, so ties break by index).
+    are computed here, by a stable sort of each entry's level in the table's
+    descending levels (indices ascend, so ties break by index). The levels
+    are held in the smallest unsigned type, which numpy radix-sorts up to
+    65536 levels.
     """
     k = dist.support_size
+    ascending = dist.levels.p[::-1]
+    top = ascending.size - 1
+    # every probability is one of the levels, so its left insertion point is exact
+    level = np.searchsorted(ascending, dist.probs)
+    np.subtract(top, level, out=level)
+    level = level.astype(np.min_scalar_type(top))
     ranks = np.empty(k, dtype=np.int64)
-    ranks[np.argsort(dist.level_ids, kind="stable")] = np.arange(k)
+    ranks[np.argsort(level, kind="stable")] = np.arange(k)
     ranks.setflags(write=False)
     return CompressionPlan(dist.n, table=dist, ranks=ranks)
 

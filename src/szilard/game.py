@@ -39,7 +39,7 @@ from .errors import (
     NonpositiveTemperature,
     TooLarge,
 )
-from .probdist import ExplicitDistribution, sample_counts
+from .probdist import ExplicitDistribution, _sorted_picks
 from .rng import make_rng
 
 BOLTZMANN_J_PER_K = 1.380649e-23  # CODATA exact
@@ -231,16 +231,15 @@ def monte_carlo(
 
     Plays are i.i.d.; the full committed work is credited on each total
     match. Results are a pure function of (distribution, strategy, seed,
-    n_samples), so replay is exact. The plays are counted per support
-    entry on the stream ``sample_indices`` draws from, and the wins are the
-    counts of the entries whose image matches the bets: the same number of
-    wins, and so the same rate, as matching the draws one by one.
+    n_samples), so replay is exact. The plays are the support entries
+    ``sample_indices`` draws, taken in ascending order, and each is matched
+    through the plan's image of the support: the order does not change the
+    number of wins, so the rate is the one matching the draws in order gives.
     """
     _check_bets(dist.n, strategy.bets)
-    entries, counts = sample_counts(dist, make_rng(config.seed), config.n_samples)
-    image = strategy.plan.image(dist)[entries]
-    won = int(counts[_match_mask(image, dist.n, strategy.bets)].sum())
-    rate = won / config.n_samples
+    picks = _sorted_picks(dist, make_rng(config.seed), config.n_samples)
+    wins = _match_mask(strategy.plan.image(dist)[picks], dist.n, strategy.bets)
+    rate = float(wins.mean())
     stderr = math.sqrt(rate * (1.0 - rate) / config.n_samples)
     return MonteCarloEstimate(
         success_rate=rate,

@@ -143,17 +143,6 @@ class ExplicitDistribution:
         p, count = np.unique(self.probs, return_counts=True)
         return Levels(_freeze(p[::-1]), _freeze(count[::-1].astype(np.int64)))
 
-    @functools.cached_property
-    def level_ids(self) -> np.ndarray:
-        """The level of each support entry (its index into ``levels.p``), in
-        the smallest unsigned type that holds the largest level."""
-        ascending = self.levels.p[::-1]
-        top = ascending.size - 1
-        # every probability is one of the levels, so its left insertion point is exact
-        ids = np.searchsorted(ascending, self.probs)
-        np.subtract(top, ids, out=ids)
-        return _freeze(ids.astype(np.min_scalar_type(top)))
-
     @property
     def p_max(self) -> float:
         return float(self.probs.max())
@@ -474,27 +463,17 @@ def sample_indices(
     return dist.indices[picks]
 
 
-def sample_counts(
-    dist: ExplicitDistribution, rng: np.random.Generator, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The support entries ``sample_indices`` would draw, and how often.
+def _sorted_picks(dist: ExplicitDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
+    """The support positions ``sample_indices`` would draw, in ascending order.
 
-    Returns the positions in the support drawn at least once, ascending,
-    and their int64 counts. numpy's ``choice(k, size, p=p)`` is
-    ``cdf.searchsorted(rng.random(size), side="right")`` over ``cdf =
-    cumsum(p); cdf /= cdf[-1]``, so this draws the same uniforms, sorts them
-    once and counts them between consecutive cdf entries. The generator ends
-    in the same state as after ``sample_indices``.
+    numpy's ``choice(k, size, p=p)`` is ``cdf.searchsorted(rng.random(size),
+    side="right")`` over ``cdf = cumsum(p); cdf /= cdf[-1]``. This draws the
+    same uniforms and sorts them before the search, which then walks the cdf
+    once instead of jumping about it; the generator ends in the same state.
     """
     cdf = dist.probs / dist.probs.sum()
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
-    u = np.sort(rng.random(size))
-    if cdf.size < size:
-        # the uniforms below cdf[j] pick entries 0..j
-        hits = np.diff(np.searchsorted(u, cdf), prepend=0)
-        entries = np.flatnonzero(hits)
-        return entries, hits[entries]
-    picks = cdf.searchsorted(u, side="right")  # ascending, as u is
-    starts = np.flatnonzero(np.diff(picks, prepend=-1))
-    return picks[starts], np.diff(starts, append=size)
+    u = rng.random(size)
+    u.sort()
+    return cdf.searchsorted(u, side="right")

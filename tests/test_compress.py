@@ -166,6 +166,19 @@ def test_canonical_plan_holds_ranks_and_builds_the_rest_on_request(rng):
         CompressionPlan(3)
 
 
+@pytest.mark.parametrize("distinct", [1, 256, 257, 65536, 65537])
+def test_canonical_ranks_at_each_level_id_width(rng, distinct):
+    # the level ids fit uint8 up to 256 levels, uint16 up to 65536, then uint32
+    raw = np.arange(1, distinct + 1, dtype=float)
+    raw = np.repeat(raw, 2)[rng.permutation(2 * distinct)]
+    d = make_explicit(18, list(zip(range(raw.size), (raw / raw.sum()).tolist())))
+    assert d.levels.p.size == distinct
+    plan = canonical_permutation(d)
+    want = np.empty(d.support_size, dtype=np.int64)
+    want[np.argsort(-d.probs, kind="stable")] = np.arange(d.support_size)
+    assert np.array_equal(plan.ranks, want)
+
+
 # ---------------------------------------------------------------- profiles
 
 

@@ -335,17 +335,5 @@ def test_explicit_spectrum_is_the_unique_output(rng):
         assert np.array_equal(s.mass, p[::-1] * count[::-1])
         assert np.array_equal(s.log_count, np.log2(count[::-1]))
         assert s.count.dtype == np.int64 and np.array_equal(s.count, count[::-1])
-        assert np.array_equal(d.levels.p[d.level_ids], d.probs)
+        assert np.array_equal(np.repeat(d.levels.p, d.levels.count), np.sort(d.probs)[::-1])
         assert spectrum(d).count is d.levels.count  # one decomposition per table
-
-
-@pytest.mark.parametrize(
-    "distinct, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
-                        (65536, np.uint16), (65537, np.uint32)],
-)
-def test_level_ids_take_the_smallest_unsigned_type(distinct, dtype):
-    raw = np.arange(1, distinct + 1, dtype=float)[::-1].copy()
-    d = make_explicit(17, list(zip(range(distinct), (raw / raw.sum()).tolist())))
-    assert d.level_ids.dtype == dtype and d.levels.p.size == distinct
-    assert np.array_equal(d.levels.p[d.level_ids], d.probs)
-    assert np.all(np.diff(d.levels.p) < 0)

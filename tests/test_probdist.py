@@ -18,7 +18,6 @@ from szilard import (
     mixture,
     point_mass,
     sample,
-    sample_counts,
     sample_indices,
     shannon,
     statistical_distance,
@@ -400,7 +399,7 @@ def test_view_sampling_matches_class_masses():
 
 
 def test_choice_is_a_search_of_uniforms_in_the_cdf():
-    # sample_counts relies on Generator.choice(k, size, p=p) being exactly
+    # monte_carlo relies on Generator.choice(k, size, p=p) being exactly
     # cdf.searchsorted(random(size), side="right") with cdf = cumsum(p) / its
     # last entry; a numpy release that changes choice fails here
     tables = [np.array([1.0])]
@@ -420,7 +419,7 @@ def test_choice_is_a_search_of_uniforms_in_the_cdf():
                 assert np.array_equal(want, got)
 
 
-def test_sample_counts_count_the_sampled_indices(rng):
+def test_sorted_picks_are_the_sampled_entries_in_order(rng):
     tables = [
         point_mass("LRL"),
         make_explicit(2, [("LL", 0.5), ("RR", 0.5)]),
@@ -432,11 +431,9 @@ def test_sample_counts_count_the_sampled_indices(rng):
         for seed in (3, 4):
             for size in (1, 7, 2000, 20_000):
                 gen_a, gen_b = make_rng(seed), make_rng(seed)
-                entries, counts = sample_counts(d, gen_a, size)
+                picks = probdist._sorted_picks(d, gen_a, size)
                 draws = sample_indices(d, gen_b, size)
-                want = np.bincount(np.searchsorted(d.indices, draws))
-                assert np.array_equal(entries, np.flatnonzero(want))
-                assert counts.dtype == np.int64 and np.array_equal(counts, want[entries])
+                assert np.array_equal(d.indices[picks], np.sort(draws))
                 # the generator is left where sample_indices leaves it
                 assert gen_a.random() == gen_b.random()
 
