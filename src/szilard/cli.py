@@ -279,17 +279,15 @@ def to_distribution(node):
                 weights,
                 [probdist.bernoulli_product(q, spec_arity(node)) for q in lefts],
             )
-        n = spec_arity(node)
-        parts = [(w, _term_explicit(t)) for w, (_, t) in zip(weights, node.terms)]
-        dense: dict[int, float] = {}
-        for w, part in parts:
-            for idx, p in zip(part.indices.tolist(), part.probs.tolist()):
-                dense[idx] = dense.get(idx, 0.0) + w * p
-        return probdist._from_arrays(
-            n,
-            np.fromiter(dense.keys(), dtype=np.int64, count=len(dense)),
-            np.fromiter(dense.values(), dtype=float, count=len(dense)),
+        parts = [_term_explicit(t) for _, t in node.terms]
+        # bincount adds in input order, term by term, as a running sum would
+        indices, inverse = np.unique(
+            np.concatenate([part.indices for part in parts]), return_inverse=True
         )
+        probs = np.bincount(
+            inverse, weights=np.concatenate([w * part.probs for w, part in zip(weights, parts)])
+        )
+        return probdist._from_arrays(spec_arity(node), indices, probs)
     q = _product_left_prob(node)
     if q is not None:
         return probdist.bernoulli_product(q, spec_arity(node))
@@ -339,19 +337,18 @@ def cmd_entropy(spec_text: str, eps: float) -> dict:
 
 def cmd_work(spec_text: str, eps: float, temperature: float) -> dict:
     dist = to_distribution(parse_spec(spec_text))
-    spec = entropy.spectrum(dist)
     c = game.work_unit(temperature)
     out = {
         "n": dist.n,
         "epsilon": eps,
         "temperature_kelvin": temperature,
         "work_value": _work_dict(c),
-        "min_work": _work_dict(game.riskfree_work(spec, eps, c.joules)),
+        "min_work": _work_dict(game.riskfree_work(dist, eps, c.joules)),
         "min_work_executable": _work_dict(
-            game.riskfree_work_executable(spec, eps, c.joules)
+            game.riskfree_work_executable(dist, eps, c.joules)
         ),
         "max_work": (
-            _work_dict(game.gambler_work_bound(spec, eps, c.joules)) if eps > 0 else None
+            _work_dict(game.gambler_work_bound(dist, eps, c.joules)) if eps > 0 else None
         ),
         "shannon_limit": None,
         "bennett": None,
@@ -361,8 +358,9 @@ def cmd_work(spec_text: str, eps: float, temperature: float) -> dict:
         out["shannon_limit"] = _work_dict(game.shannon_limit_work(q, dist.n, c.joules))
     # compression leaves every box known or uniform exactly when the
     # distribution is flat on 2^j outcomes; then j boxes are unknown
-    if spec.count is not None and spec.count.size == 1:
-        k = int(spec.count[0])
+    count = dist.levels.count
+    if count is not None and count.size == 1:
+        k = int(count[0])
         if k & (k - 1) == 0:
             known = dist.n - (k.bit_length() - 1)
             out["bennett"] = _work_dict(game.Work.from_bits(known, c.joules))

@@ -19,9 +19,10 @@ Over this ball both smooth values have closed-form greedy solutions:
 All six figures depend only on the multiset of outcome probabilities, so
 each is computed once, over the distribution's ``Spectrum``: its distinct
 per-outcome probabilities in descending order with their multiplicities.
-Explicit tables and type-class aggregations are two producers of the same
-spectrum, which keeps i.i.d. and mixture families exact at n = 1000 and
-beyond.
+``probdist`` owns the spectrum: explicit tables, mixtures and type-class
+views each build theirs once, as their cached ``levels``, which keeps
+i.i.d. and mixture families exact at n = 1000 and beyond and lets every
+function here take the distribution itself.
 """
 from __future__ import annotations
 
@@ -36,28 +37,10 @@ from .numerics import logsumexp2
 from .probdist import (
     ExplicitDistribution,
     MixtureOfProducts,
+    Spectrum,
     TypeClassView,
     _from_arrays,
-    to_type_classes,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Distinct per-outcome probabilities of a distribution, descending.
-
-    Level i holds the outcomes of probability 2**log_p[i]: ``mass[i]`` is
-    their total probability (linear), ``log_count[i]`` the log2 of their
-    number and ``count[i]`` that number exactly. ``count`` is None where
-    only the logs are known (type classes above EXACT_BINOMIAL_MAX_N).
-    """
-
-    n: int
-    log_p: np.ndarray
-    mass: np.ndarray
-    log_count: np.ndarray
-    count: np.ndarray | None
-
 
 Distribution = ExplicitDistribution | MixtureOfProducts | TypeClassView | Spectrum
 
@@ -119,40 +102,19 @@ def binary_entropy(p: float) -> float:
 
 
 def spectrum(dist: Distribution) -> Spectrum:
-    """The spectrum of a distribution; a spectrum is returned as it is.
-
-    Explicit tables read their cached level decomposition (exact int64
-    counts). Type classes are sorted by per-string probability, and classes
-    of equal probability share one level.
-    """
-    if isinstance(dist, Spectrum):
-        return dist
-    if isinstance(dist, ExplicitDistribution):
-        p, count = dist.levels.p, dist.levels.count
-        return Spectrum(dist.n, np.log2(p), p * count, np.log2(count), count)
-    view = to_type_classes(dist) if isinstance(dist, MixtureOfProducts) else dist
-    sup = np.flatnonzero(view.support_classes())
-    order = sup[np.argsort(-view.class_log_prob[sup], kind="stable")]
-    log_p, log_count = view.class_log_prob[order], view.class_log_count[order]
-    count = None if view.class_count is None else view.class_count[order]
-    starts = np.flatnonzero(np.diff(log_p, prepend=np.inf))
-    if starts.size < log_p.size:
-        top = np.maximum.reduceat(log_count, starts)
-        spread = np.repeat(top, np.diff(starts, append=log_p.size))
-        log_count = top + np.log2(np.add.reduceat(np.exp2(log_count - spread), starts))
-        count = None if count is None else np.add.reduceat(count, starts)
-        log_p = log_p[starts]
-    return Spectrum(view.n, log_p, np.exp2(log_p + log_count), log_count, count)
+    """The distribution's cached spectrum; a spectrum is returned as it is."""
+    return dist if isinstance(dist, Spectrum) else dist.levels
 
 
 def shannon(dist: Distribution) -> float:
     """-sum p log2 p, with 0 log 0 = 0.
 
-    Summation is exactly rounded (fsum), so the value is identical for any
-    relabeling of the same probability multiset.
+    The sum runs over the sorted spectrum, so the value is identical for
+    any relabeling of the same probability multiset; numpy's pairwise sum
+    keeps its error near 1e-11 bits at n = 1e5.
     """
     s = spectrum(dist)
-    return -math.fsum(s.mass * s.log_p)
+    return -float(np.sum(s.mass * s.log_p))
 
 
 def h_min(dist: Distribution) -> float:
@@ -264,14 +226,13 @@ def h_min_smooth_detail(dist: Distribution, eps: float) -> SmoothedMin:
 
 
 def smooth_report(dist: Distribution, eps: float) -> EntropyReport:
-    """All six entropy figures at once, over one spectrum."""
-    s = spectrum(dist)
+    """All six entropy figures at once, over the distribution's one spectrum."""
     return EntropyReport(
-        n=s.n,
-        shannon=shannon(s),
-        h_min=h_min(s),
-        h_max=h_max(s),
+        n=dist.n,
+        shannon=shannon(dist),
+        h_min=h_min(dist),
+        h_max=h_max(dist),
         epsilon=eps,
-        h_min_smooth=h_min_smooth(s, eps),
-        h_max_smooth=h_max_smooth(s, eps),
+        h_min_smooth=h_min_smooth(dist, eps),
+        h_max_smooth=h_max_smooth(dist, eps),
     )

@@ -157,12 +157,11 @@ def shannon_limit_work(p: float, n: int, c: float) -> Work:
 
 
 def work_bounds(dist: Distribution, eps: float, c: float) -> WorkBounds:
-    spec = spectrum(dist)
     return WorkBounds(
-        n=spec.n,
+        n=dist.n,
         epsilon=eps,
-        min_work=riskfree_work(spec, eps, c),
-        max_work=gambler_work_bound(spec, eps, c),
+        min_work=riskfree_work(dist, eps, c),
+        max_work=gambler_work_bound(dist, eps, c),
     )
 
 
@@ -259,8 +258,7 @@ def check_inequalities(
 ) -> list[str]:
     """Consistency checks a finished game run must satisfy; empty when sound."""
     violations = []
-    spec = spectrum(dist) if eps > 0 else None
-    bounds = work_bounds(spec, eps, c) if eps > 0 else None
+    bounds = work_bounds(dist, eps, c) if eps > 0 else None
     if bounds is not None and eps <= 1.0 / 3.0:
         # provable only for eps <= 1/3 under mass-removal smoothing
         if bounds.min_work.bits > bounds.max_work.bits + 1e-9:
@@ -269,7 +267,7 @@ def check_inequalities(
                 f"gambling bound {bounds.max_work.bits:.6g} bits"
             )
     if eps > 0.0 and exact.success_prob > eps:
-        cap = dist.n - h_min(spec) + math.log2(1.0 / eps)
+        cap = dist.n - h_min(dist) + math.log2(1.0 / eps)
         if not len(strategy.bets) < cap:
             violations.append(
                 f"{len(strategy.bets)} bets succeed with p={exact.success_prob:.6g} "

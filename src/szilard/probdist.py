@@ -2,10 +2,15 @@
 
 Two representations are provided. Explicit tables hold the support of a
 distribution over {L,R}^n as (outcome index, probability) pairs and are
-limited to small n (the outcome space 2^n must stay under a configurable
-cap). Mixtures of i.i.d. Bernoulli products cover the structured families
-used at large n; they aggregate exactly over Hamming-weight classes, so
-n = 1000 costs an array of length 1001 rather than 2^1000 entries.
+limited to small n (the outcome space 2^n must stay under
+DEFAULT_EXPLICIT_CAP). Mixtures of i.i.d. Bernoulli products cover the
+structured families used at large n; they aggregate exactly over
+Hamming-weight classes, so n = 1000 costs an array of length 1001 rather
+than 2^1000 entries.
+
+Every representation carries its ``Spectrum`` as the cached property
+``levels``: the distinct per-outcome probabilities with their
+multiplicities, computed on first read and kept on the object.
 
 Outcome indices are big-endian: box 0 is the most significant bit, L=0,
 R=1, so the all-L string is index 0.
@@ -111,12 +116,25 @@ class LogProb:
 
 
 @dataclass(frozen=True, eq=False)
-class Levels:
-    """The distinct probabilities of a table, descending, and how many
-    support entries take each (int64)."""
+class Spectrum:
+    """Distinct per-outcome probabilities of a distribution, descending.
 
+    Level i holds the outcomes of probability ``p[i]`` = 2**log_p[i]:
+    ``mass[i]`` is their total probability (linear), ``log_count[i]`` the
+    log2 of their number and ``count[i]`` that number exactly. ``count`` is
+    None where only the logs are known (type classes above
+    EXACT_BINOMIAL_MAX_N). ``p`` is exact for explicit tables; for type
+    classes it is ``exp2(log_p)`` and underflows to 0 below the smallest
+    float, so only ``log_p`` is read there. Every distribution computes its
+    spectrum once, as its ``levels``.
+    """
+
+    n: int
     p: np.ndarray
-    count: np.ndarray
+    log_p: np.ndarray
+    mass: np.ndarray
+    log_count: np.ndarray
+    count: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,10 +156,11 @@ class ExplicitDistribution:
         return int(self.indices.size)
 
     @functools.cached_property
-    def levels(self) -> Levels:
-        """The table's distinct probabilities: one sort, once per table."""
+    def levels(self) -> Spectrum:
+        """The table's spectrum: one sort, once per table, int64 counts."""
         p, count = np.unique(self.probs, return_counts=True)
-        return Levels(_freeze(p[::-1]), _freeze(count[::-1].astype(np.int64)))
+        p, count = p[::-1], count[::-1].astype(np.int64)
+        return _spectrum(self.n, p, np.log2(p), p * count, np.log2(count), count)
 
     @property
     def p_max(self) -> float:
@@ -178,6 +197,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _spectrum(n: int, *arrays: np.ndarray | None) -> Spectrum:
+    return Spectrum(n, *(a if a is None else _freeze(a) for a in arrays))
+
+
 def _from_arrays(n: int, indices: np.ndarray, probs: np.ndarray) -> ExplicitDistribution:
     """Assemble without normalization checks; sorts by index, drops zeros."""
     indices = np.asarray(indices, dtype=np.int64)
@@ -204,16 +227,14 @@ def _as_index(outcome, n: int) -> int:
     return o.index
 
 
-def _check_cap(n: int, cap: int):
-    if n > 62 or (1 << n) > cap:
-        raise SupportOverflow(f"outcome space 2^{n} exceeds the explicit cap {cap}")
+def _check_cap(n: int):
+    if n > 62 or (1 << n) > DEFAULT_EXPLICIT_CAP:
+        raise SupportOverflow(
+            f"outcome space 2^{n} exceeds the explicit cap {DEFAULT_EXPLICIT_CAP}"
+        )
 
 
-def make_explicit(
-    n: int,
-    entries: Iterable[tuple[object, float]],
-    cap: int = DEFAULT_EXPLICIT_CAP,
-) -> ExplicitDistribution:
+def make_explicit(n: int, entries: Iterable[tuple[object, float]]) -> ExplicitDistribution:
     """Validated explicit table from (outcome, probability) pairs.
 
     Outcomes may be Outcome objects, L/R strings, bit sequences or raw
@@ -222,7 +243,7 @@ def make_explicit(
     """
     if n < 1:
         raise BadOutcomeLength(f"need n >= 1, got {n}")
-    _check_cap(n, cap)
+    _check_cap(n)
     seen: dict[int, float] = {}
     for outcome, p in entries:
         p = float(p)
@@ -244,14 +265,10 @@ def point_mass(outcome: Outcome | str) -> ExplicitDistribution:
     return _from_arrays(o.n, np.array([o.index]), np.array([1.0]))
 
 
-def tensor(
-    p: ExplicitDistribution,
-    q: ExplicitDistribution,
-    cap: int = DEFAULT_EXPLICIT_CAP,
-) -> ExplicitDistribution:
+def tensor(p: ExplicitDistribution, q: ExplicitDistribution) -> ExplicitDistribution:
     """Independent combination: box strings concatenate, probabilities multiply."""
     n = p.n + q.n
-    _check_cap(n, cap)
+    _check_cap(n)
     # block layout keeps indices sorted: p-index picks the block, q-index the offset
     idx = (p.indices[:, None] << q.n | q.indices[None, :]).ravel()
     pr = (p.probs[:, None] * q.probs[None, :]).ravel()
@@ -268,6 +285,11 @@ class MixtureOfProducts:
 
     n: int
     components: tuple[tuple[float, float], ...]  # (weight, left_prob)
+
+    @functools.cached_property
+    def levels(self) -> Spectrum:
+        """The spectrum of the mixture's type classes, aggregated once."""
+        return to_type_classes(self).levels
 
 
 def bernoulli_product(left_prob: float, n: int) -> MixtureOfProducts:
@@ -331,6 +353,25 @@ class TypeClassView:
     def support_classes(self) -> np.ndarray:
         return np.isfinite(self.class_log_prob)
 
+    @functools.cached_property
+    def levels(self) -> Spectrum:
+        """Support classes sorted by per-string probability; classes of
+        equal probability share one level."""
+        sup = np.flatnonzero(self.support_classes())
+        order = sup[np.argsort(-self.class_log_prob[sup], kind="stable")]
+        log_p, log_count = self.class_log_prob[order], self.class_log_count[order]
+        count = None if self.class_count is None else self.class_count[order]
+        starts = np.flatnonzero(np.diff(log_p, prepend=np.inf))
+        if starts.size < log_p.size:
+            top = np.maximum.reduceat(log_count, starts)
+            spread = np.repeat(top, np.diff(starts, append=log_p.size))
+            log_count = top + np.log2(np.add.reduceat(np.exp2(log_count - spread), starts))
+            count = None if count is None else np.add.reduceat(count, starts)
+            log_p = log_p[starts]
+        return _spectrum(
+            self.n, np.exp2(log_p), log_p, np.exp2(log_p + log_count), log_count, count
+        )
+
 
 def _check_class_limit(n: int):
     if n > 10**7:  # the class arrays take about 85 bytes per box
@@ -369,10 +410,7 @@ def to_type_classes(m: MixtureOfProducts) -> TypeClassView:
     )
 
 
-def explicit_of(
-    dist: MixtureOfProducts | TypeClassView,
-    cap: int = DEFAULT_EXPLICIT_CAP,
-) -> ExplicitDistribution:
+def explicit_of(dist: MixtureOfProducts | TypeClassView) -> ExplicitDistribution:
     """Entrywise expansion of a structured distribution to an explicit table.
 
     Per-string probabilities below the smallest positive float collapse to
@@ -380,7 +418,7 @@ def explicit_of(
     ``dist.n`` before any class is built.
     """
     _check_class_limit(dist.n)
-    _check_cap(dist.n, cap)
+    _check_cap(dist.n)
     view = to_type_classes(dist) if isinstance(dist, MixtureOfProducts) else dist
     idx = np.arange(1 << view.n, dtype=np.int64)
     probs = np.exp2(view.class_log_prob)[popcount(idx)]

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from szilard import (
 )
 from szilard.cli import (
     cmd_entropy,
+    cmd_table1,
     cmd_work,
     main,
     parse_spec,
@@ -212,6 +214,33 @@ def test_cmd_work_bennett_matches_the_compressed_profile(rng):
     assert figures >= 60
 
 
+def test_explicit_mixture_merge_matches_a_running_sum(rng):
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        terms = []
+        for i in range(int(rng.integers(2, 4))):
+            if i == 0 or rng.random() < 0.6:  # one explicit term keeps the mixture a table
+                terms.append(_explicit_spec(random_explicit(rng, n)))
+            else:
+                terms.append(f"bernoulli({float(rng.random())!r})^{n}")
+        raw = rng.random(len(terms)) + 0.05
+        weights = (raw / raw.sum()).tolist()
+        node = parse_spec("mix(" + ", ".join(f"{w!r}: {t}" for w, t in zip(weights, terms)) + ")")
+        d = to_distribution(node)
+        # reference: add each term's entries into a dict, one at a time
+        total = math.fsum(w for w, _ in node.terms)
+        dense: dict[int, float] = {}
+        for w, term in node.terms:
+            part = to_distribution(term)
+            if not isinstance(part, ExplicitDistribution):
+                part = probdist.explicit_of(part)
+            for idx, p in zip(part.indices.tolist(), part.probs.tolist()):
+                dense[idx] = dense.get(idx, 0.0) + w / total * p
+        keys = sorted(dense)
+        assert d.indices.tolist() == keys
+        assert d.probs.tolist() == [dense[k] for k in keys]
+
+
 @pytest.mark.parametrize(
     "spec, bits",
     [
@@ -386,3 +415,26 @@ def test_cli_table1_json_format(capsys):
     rows = json.loads(capsys.readouterr().out)
     assert [r["row"] for r in rows] == [1, 2, 3, 4]
     assert rows[3]["min_work_bits"] == 99.0
+
+
+def test_cli_builds_one_spectrum_per_spec(monkeypatch):
+    aggregate, unique = probdist.to_type_classes, np.unique
+    classes, sorts = [], []
+
+    def counting_classes(m):
+        classes.append(m)
+        return aggregate(m)
+
+    def counting_unique(*args, **kwargs):
+        sorts.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(probdist, "to_type_classes", counting_classes)
+    monkeypatch.setattr(np, "unique", counting_unique)
+    cmd_work("bernoulli(0.7)^3000", 1e-3, 300.0)
+    cmd_work("mix(0.5: bernoulli(1.0)^40, 0.5: uniform^40)", 1e-3, 300.0)
+    assert len(classes) == 2
+    cmd_table1(1e-3, 300.0, 1000)
+    assert len(classes) == 5  # rows 2 to 4, one spectrum each
+    cmd_work("explicit{LL: 0.5, LR: 0.25, RR: 0.25}", 1e-3, 300.0)
+    assert len(sorts) == 1

@@ -9,6 +9,7 @@ from szilard import (
     bernoulli_product,
     binary_entropy,
     explicit_of,
+    gambler_work_bound,
     h_max,
     h_max_smooth,
     h_max_smooth_detail,
@@ -17,11 +18,14 @@ from szilard import (
     h_min_smooth_detail,
     make_explicit,
     mixture,
+    probdist,
+    riskfree_work_executable,
     shannon,
     smooth_report,
     spectrum,
     statistical_distance,
     uniform_product,
+    work_bounds,
 )
 from szilard.errors import BadEpsilon
 from szilard.oracle import brute_hmax_smooth, brute_hmin_smooth
@@ -48,6 +52,16 @@ def test_shannon_uniform_bit():
 def test_shannon_bernoulli_07():
     d = explicit_of(bernoulli_product(0.7, 1))
     assert shannon(d) == pytest.approx(H_OF_07, abs=1e-12)
+
+
+def test_shannon_pairwise_sum_matches_fsum(rng):
+    dists = [bernoulli_product(0.7, n) for n in (1000, 2049, 100_000)]
+    dists += [mixture([0.5, 0.5], [bernoulli_product(1.0, 5000), bernoulli_product(0.7, 5000)])]
+    dists += [random_explicit(rng, 12) for _ in range(5)]
+    for d in dists:
+        s = spectrum(d)
+        exact = -math.fsum(s.mass * s.log_p)
+        assert abs(shannon(d) - exact) <= 1e-9
 
 
 def test_shannon_point_mass():
@@ -337,3 +351,25 @@ def test_explicit_spectrum_is_the_unique_output(rng):
         assert s.count.dtype == np.int64 and np.array_equal(s.count, count[::-1])
         assert np.array_equal(np.repeat(d.levels.p, d.levels.count), np.sort(d.probs)[::-1])
         assert spectrum(d).count is d.levels.count  # one decomposition per table
+
+
+def test_one_spectrum_per_distribution(monkeypatch):
+    aggregate = probdist.to_type_classes
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return aggregate(m)
+
+    monkeypatch.setattr(probdist, "to_type_classes", counting)
+    two_term = mixture(
+        [0.4, 0.6], [bernoulli_product(0.9, 3000), bernoulli_product(0.2, 3000)]
+    )
+    for m in (bernoulli_product(0.7, 3000), two_term):
+        calls.clear()
+        smooth_report(m, 1e-3)
+        work_bounds(m, 1e-3, 1.0)
+        riskfree_work_executable(m, 1e-3, 1.0)
+        gambler_work_bound(m, 1e-3, 1.0)
+        assert calls == [m]
+        assert spectrum(m) is spectrum(m)

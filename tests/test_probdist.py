@@ -118,7 +118,7 @@ def test_tensor_with_point_mass_keeps_support():
 def test_tensor_cap():
     d = explicit_of(uniform_product(13))
     with pytest.raises(SupportOverflow):
-        tensor(d, d, cap=2**24)
+        tensor(d, d)
 
 
 def test_entropies_additive_over_tensor(rng):
