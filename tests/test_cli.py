@@ -17,6 +17,10 @@ from szilard import (
     canonical_permutation,
     compress,
     probdist,
+    riskfree_work_executable,
+    smooth_report,
+    work_bounds,
+    work_unit,
 )
 from szilard.cli import (
     cmd_entropy,
@@ -377,13 +381,44 @@ def test_cli_bad_arguments_are_input_errors(argv, code, capsys):
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    # n = 3000 takes its log-binomials from the Stirling row, not big-int binomials
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    probe = "import sys, szilard.cli; print('scipy' in sys.modules)"
+    probe = (
+        "import sys, szilard.cli; print('scipy' in sys.modules); "
+        "szilard.cli.cmd_entropy('bernoulli(0.7)^3000', 1e-3); print('scipy' in sys.modules)"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split() == ["False", "False"]
+
+
+def test_reference_grid_without_scipy(monkeypatch):
+    # the benchmark's pinned class-path figures, n = 1000..100000, to its 1e-6 bits
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    grid_path = Path(__file__).resolve().parent.parent / "perfbench/golden/reference_grid.json"
+    grid = json.loads(grid_path.read_text())
+    c = work_unit(300.0).joules
+    assert len(grid) == 11
+    for entry in grid:
+        eps, want = entry["epsilon"], entry["values"]
+        dist = to_distribution(parse_spec(entry["spec"]))
+        report, bounds = smooth_report(dist, eps), work_bounds(dist, eps, c)
+        got = {
+            "shannon": report.shannon,
+            "h_min": report.h_min,
+            "h_max": report.h_max,
+            "h_min_smooth": report.h_min_smooth,
+            "h_max_smooth": report.h_max_smooth,
+            "riskfree_bits": bounds.min_work.bits,
+            "gambler_bits": bounds.max_work.bits,
+            "executable_bits": riskfree_work_executable(dist, eps, c).bits,
+        }
+        assert got.keys() == want.keys()
+        assert got["executable_bits"] == want["executable_bits"], (entry["spec"], eps)
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-6, (entry["spec"], eps, key)
 
 
 def test_cli_spec_file(tmp_path, capsys):

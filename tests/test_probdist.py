@@ -39,7 +39,7 @@ from szilard.errors import (
     WeightSumError,
 )
 from szilard import probdist
-from szilard.numerics import popcount
+from szilard.numerics import log2_binomials, popcount
 from szilard.rng import make_rng
 
 from util import random_explicit, random_mixture_params
@@ -204,6 +204,15 @@ def test_explicit_of_matches_mixture_entrywise(rng):
             assert d.prob_of(o) == pytest.approx(
                 2.0 ** view.class_log_prob[k], abs=1e-12
             )
+
+
+@pytest.mark.parametrize("n", [2049, 5000, 30000, 100000])
+def test_log2_binomials_above_the_exact_range_match_math_comb(n):
+    logs = log2_binomials(n)
+    assert logs.shape == (n + 1,)
+    ks = np.unique(np.r_[0, 1, 15, 16, 17, np.linspace(0, n, 35).astype(int), n - 1, n])
+    exact = np.array([math.log2(math.comb(n, int(k))) for k in ks])
+    assert np.max(np.abs(logs[ks] - exact)) <= 1e-9
 
 
 def test_to_type_classes_refuses_huge_n():
