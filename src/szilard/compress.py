@@ -35,22 +35,26 @@ class CompressionPlan:
 
     A general plan is given by its dense permutation,
     ``CompressionPlan(n, permutation, profile)``. A canonical plan holds
-    only its table and ``ranks``, the new index of each support entry of
-    the table; the dense permutation and the profile are built from them
-    the first time they are read, and the game reads neither.
+    only its table. ``ranks`` (the new index of each support entry of the
+    table), the dense permutation and the profile are built the first time
+    they are read. The game reads none of them for the canonical bets: it
+    asks ``top`` which entries are among the most likely ones.
     """
 
-    def __init__(self, n: int, permutation=None, profile=None, *, table=None, ranks=None):
-        if permutation is None and ranks is None:
-            raise TypeError("a plan needs a permutation or a table's ranks")
+    def __init__(self, n: int, permutation=None, profile=None, *, table=None):
+        if permutation is None and table is None:
+            raise TypeError("a plan needs a permutation or a table")
         self.n = n
         self.table = table
-        self.ranks = ranks
         # set values shadow the lazy builders below
         if permutation is not None:
             self.permutation = permutation
         if profile is not None:
             self.profile = profile
+
+    @functools.cached_property
+    def ranks(self) -> np.ndarray:
+        return _canonical_ranks(self.table)
 
     @functools.cached_property
     def permutation(self) -> np.ndarray:
@@ -65,6 +69,26 @@ class CompressionPlan:
         if dist is self.table:
             return self.ranks
         return self.permutation[dist.indices]
+
+    def top(self, size: int) -> np.ndarray:
+        """Mask over the table's support of the entries ranked below ``size``.
+
+        Equal to ``ranks < size``, read off the table's levels: every entry
+        above the boundary level, where the cumulative count first exceeds
+        ``size``, and the first entries of that level in index order.
+        """
+        dist = self.table
+        if size >= dist.support_size:
+            return np.ones(dist.support_size, dtype=bool)
+        levels = dist.levels
+        cum = np.cumsum(levels.count)
+        boundary = int(np.searchsorted(cum, size, side="right"))
+        p = levels.p[boundary]
+        mask = dist.probs > p
+        rem = size - (int(cum[boundary - 1]) if boundary else 0)
+        if rem:
+            mask[np.flatnonzero(dist.probs == p)[:rem]] = True
+        return mask
 
 
 def bit_profile(dist: ExplicitDistribution) -> tuple[BitInfo, ...]:
@@ -85,16 +109,22 @@ def bit_profile(dist: ExplicitDistribution) -> tuple[BitInfo, ...]:
 
 
 def canonical_permutation(dist: ExplicitDistribution) -> CompressionPlan:
-    """The probability-sorting relabeling, as ranks of the support.
+    """The probability-sorting relabeling, as a plan over ``dist``.
 
     Support outcomes map to indices 0..k-1 in order of non-increasing
     probability; ties and the zero-probability remainder keep their original
-    index order, which makes recompression the identity. Only the k ranks
-    are computed here, by a stable sort of each entry's level in the table's
-    descending levels (indices ascend, so ties break by index). The levels
-    are held in the smallest unsigned type, which numpy radix-sorts up to
-    65536 levels.
+    index order, which makes recompression the identity. Nothing is computed
+    here: the plan builds its ranks, dense permutation and profile when a
+    caller reads them, and answers ``top`` from the table's levels.
     """
+    return CompressionPlan(dist.n, table=dist)
+
+
+def _canonical_ranks(dist: ExplicitDistribution) -> np.ndarray:
+    """The new index of each support entry: a stable sort of each entry's
+    level in the table's descending levels (indices ascend, so ties break by
+    index). The levels are held in the smallest unsigned type, which numpy
+    radix-sorts up to 65536 levels."""
     k = dist.support_size
     ascending = dist.levels.p[::-1]
     top = ascending.size - 1
@@ -105,7 +135,7 @@ def canonical_permutation(dist: ExplicitDistribution) -> CompressionPlan:
     ranks = np.empty(k, dtype=np.int64)
     ranks[np.argsort(level, kind="stable")] = np.arange(k)
     ranks.setflags(write=False)
-    return CompressionPlan(dist.n, table=dist, ranks=ranks)
+    return ranks
 
 
 def _dense_permutation(dist: ExplicitDistribution, ranks: np.ndarray) -> np.ndarray:

@@ -176,6 +176,11 @@ def _check_bets(n: int, bets: tuple[tuple[int, int], ...]):
             raise InvalidBets(f"bet value {val} is not 0/1")
 
 
+def _leading_l(count: int) -> tuple[tuple[int, int], ...]:
+    """The canonical bet: L on boxes 0..count-1."""
+    return tuple((pos, 0) for pos in range(count))
+
+
 def _match_mask(indices: np.ndarray, n: int, bets) -> np.ndarray:
     mask = want = 0
     for pos, val in bets:
@@ -184,15 +189,30 @@ def _match_mask(indices: np.ndarray, n: int, bets) -> np.ndarray:
     return (indices & mask) == want
 
 
+def _wins(dist: ExplicitDistribution, strategy: Strategy) -> np.ndarray:
+    """Which support entries of ``dist`` the strategy wins on, in index order.
+
+    Betting L on boxes 0..b-1 of the table's canonical plan wins exactly on
+    the compressed indices below 2^(n-b), that is on the 2^(n-b) most likely
+    outcomes, which the plan reads off the table's levels without ranking
+    the support. Any other bet is matched through the plan's image.
+    """
+    plan, bets = strategy.plan, strategy.bets
+    if plan.table is dist and bets == _leading_l(len(bets)):
+        return plan.top(1 << (dist.n - len(bets)))
+    return _match_mask(plan.image(dist), dist.n, bets)
+
+
 def exact_evaluate(dist: ExplicitDistribution, strategy: Strategy) -> ExactResult:
     """Success probability of a strategy and the work it earns in expectation.
 
     Success is the post-permutation marginal probability of the guessed
-    assignment on the bet positions; failure pays nothing.
+    assignment on the bet positions; failure pays nothing. The winning
+    probabilities are summed in index order, whichever way the wins are
+    found, so the figure does not depend on it.
     """
     _check_bets(dist.n, strategy.bets)
-    image = strategy.plan.image(dist)
-    success = float(dist.probs[_match_mask(image, dist.n, strategy.bets)].sum())
+    success = float(dist.probs[_wins(dist, strategy)].sum())
     return ExactResult(success, success * strategy.committed_work)
 
 
@@ -205,8 +225,7 @@ def build_riskfree_strategy(dist: ExplicitDistribution, eps: float, c: float) ->
     """
     plan = canonical_permutation(dist)
     bet_count = riskfree_bet_count(dist, eps)
-    bets = tuple((pos, 0) for pos in range(bet_count))
-    return Strategy(plan, bets, bet_count * c)
+    return Strategy(plan, _leading_l(bet_count), bet_count * c)
 
 
 def build_gambler_strategy(dist: ExplicitDistribution, m: int, c: float) -> Strategy:
@@ -219,8 +238,7 @@ def build_gambler_strategy(dist: ExplicitDistribution, m: int, c: float) -> Stra
     """
     if not 1 <= m <= dist.n:
         raise BadBetSize(f"bet size {m} outside [1, {dist.n}]")
-    bets = tuple((pos, 0) for pos in range(m))
-    return Strategy(canonical_permutation(dist), bets, m * c)
+    return Strategy(canonical_permutation(dist), _leading_l(m), m * c)
 
 
 def monte_carlo(
@@ -231,13 +249,14 @@ def monte_carlo(
     Plays are i.i.d.; the full committed work is credited on each total
     match. Results are a pure function of (distribution, strategy, seed,
     n_samples), so replay is exact. The plays are the support entries
-    ``sample_indices`` draws, taken in ascending order, and each is matched
-    through the plan's image of the support: the order does not change the
-    number of wins, so the rate is the one matching the draws in order gives.
+    ``sample_indices`` draws, taken in ascending order, and each is looked
+    up in the win mask ``exact_evaluate`` sums: the order does not change
+    the number of wins, so the rate is the one matching the draws in order
+    gives.
     """
     _check_bets(dist.n, strategy.bets)
     picks = _sorted_picks(dist, make_rng(config.seed), config.n_samples)
-    wins = _match_mask(strategy.plan.image(dist)[picks], dist.n, strategy.bets)
+    wins = _wins(dist, strategy)[picks]
     rate = float(wins.mean())
     stderr = math.sqrt(rate * (1.0 - rate) / config.n_samples)
     return MonteCarloEstimate(

@@ -213,14 +213,15 @@ def _from_arrays(n: int, indices: np.ndarray, probs: np.ndarray) -> ExplicitDist
 
 
 def _as_index(outcome, n: int) -> int:
+    # raw indices first: they are what large tables are built from
+    if isinstance(outcome, (int, np.integer)):
+        if not 0 <= int(outcome) < (1 << n):
+            raise IndexOutOfRange(f"index {outcome} outside [0, 2^{n})")
+        return int(outcome)
     if isinstance(outcome, Outcome):
         o = outcome
     elif isinstance(outcome, str):
         o = Outcome.from_string(outcome)
-    elif isinstance(outcome, (int, np.integer)):
-        if not 0 <= int(outcome) < (1 << n):
-            raise IndexOutOfRange(f"index {outcome} outside [0, 2^{n})")
-        return int(outcome)
     else:
         o = Outcome(tuple(outcome))
     if o.n != n:

@@ -153,7 +153,7 @@ def test_canonical_permutation_matches_reference_construction(rng, case):
 def test_canonical_plan_holds_ranks_and_builds_the_rest_on_request(rng):
     for d in (random_explicit(rng, 6), random_explicit(rng, 12, 40)):
         plan = canonical_permutation(d)
-        assert "permutation" not in vars(plan) and "profile" not in vars(plan)
+        assert not {"ranks", "permutation", "profile"} & set(vars(plan))
         assert plan.image(d) is plan.ranks
         assert sorted(plan.ranks.tolist()) == list(range(d.support_size))
         # another table on the same boxes is relabeled through the dense permutation
@@ -177,6 +177,28 @@ def test_canonical_ranks_at_each_level_id_width(rng, distinct):
     want = np.empty(d.support_size, dtype=np.int64)
     want[np.argsort(-d.probs, kind="stable")] = np.arange(d.support_size)
     assert np.array_equal(plan.ranks, want)
+
+
+@pytest.mark.parametrize("kind", ["distinct", "tied", "flat", "sparse"])
+def test_top_is_the_entries_ranked_below_size(rng, kind):
+    for _ in range(25):
+        n = int(rng.integers(1, 13))
+        if kind == "distinct":
+            d = random_explicit(rng, n)
+        elif kind == "tied":
+            d = random_explicit(rng, n, levels=(1.0, 2.0, 3.0))
+        elif kind == "flat":
+            d = random_explicit(rng, n, levels=(1.0,))
+        else:
+            d = random_explicit(rng, n, int(rng.integers(1, min(40, 1 << n) + 1)))
+        plan = canonical_permutation(d)
+        masks = [plan.top(1 << (n - b)) for b in range(n + 1)]
+        assert "ranks" not in vars(plan)
+        for b, mask in enumerate(masks):
+            assert np.array_equal(mask, plan.ranks < (1 << (n - b)))
+        # every size, not only powers of two, and the empty mask
+        size = int(rng.integers(0, d.support_size + 2))
+        assert np.array_equal(plan.top(size), plan.ranks < size)
 
 
 # ---------------------------------------------------------------- profiles

@@ -28,7 +28,7 @@ from szilard import (
     work_bounds,
     work_unit,
 )
-from szilard import compress
+from szilard import compress, game
 from szilard.compress import CompressionPlan
 from szilard.errors import (
     BadBetSize,
@@ -38,8 +38,13 @@ from szilard.errors import (
     NonpositiveTemperature,
     TooLarge,
 )
-from szilard.game import MonteCarloEstimate, check_inequalities, riskfree_bet_count
-from szilard.probdist import sample_indices
+from szilard.game import (
+    ExactResult,
+    MonteCarloEstimate,
+    check_inequalities,
+    riskfree_bet_count,
+)
+from szilard.probdist import _sorted_picks, sample_indices
 from szilard.rng import make_rng
 from szilard.oracle import exhaustive_gambler_search, exhaustive_game_eval
 
@@ -427,11 +432,60 @@ def test_game_on_an_explicit_table_builds_no_dense_permutation(monkeypatch):
     mc = monte_carlo(d, s, GameConfig(seed=5, n_samples=20_000))
     assert check_inequalities(d, s, exact, 1e-3, 1.0) == []
     work_bounds(d, 1e-3, 1.0)
-    assert len(sorts) == 1 and "permutation" not in vars(s.plan)
+    assert len(sorts) == 1
+    assert "permutation" not in vars(s.plan) and "ranks" not in vars(s.plan)
+    # a gambler op on a fresh table: one more sort, and no ranks either
+    g_table = explicit_of(bernoulli_product(0.6, 11))
+    g = build_gambler_strategy(g_table, 4, 1.0)
+    g_exact = exact_evaluate(g_table, g)
+    monte_carlo(g_table, g, GameConfig(seed=6, n_samples=20_000))
+    assert check_inequalities(g_table, g, g_exact, 1e-3, 1.0) == []
+    assert len(sorts) == 2
+    assert "permutation" not in vars(g.plan) and "ranks" not in vars(g.plan)
     monkeypatch.setattr(compress, "_dense_permutation", dense)
     # the lazily built relabeling is the one the ranks describe
     assert np.array_equal(s.plan.permutation[d.indices], s.plan.ranks)
     assert mc == _draw_by_draw(d, s, GameConfig(seed=5, n_samples=20_000))
+
+
+def _rank_path(d, s, config):
+    """Exact success and Monte Carlo matched through the plan's ranks."""
+    ranks = s.plan.ranks
+    success = float(d.probs[game._match_mask(ranks, d.n, s.bets)].sum())
+    picks = _sorted_picks(d, make_rng(config.seed), config.n_samples)
+    rate = float(game._match_mask(ranks[picks], d.n, s.bets).mean())
+    mc = MonteCarloEstimate(
+        rate, rate * s.committed_work, math.sqrt(rate * (1.0 - rate) / config.n_samples),
+        config.seed, config.n_samples,
+    )
+    return ExactResult(success, success * s.committed_work), mc
+
+
+@pytest.mark.parametrize("kind", ["distinct", "tied", "flat", "sparse"])
+def test_canonical_bets_win_as_the_rank_path(rng, kind):
+    for _ in range(12):
+        n = int(rng.integers(1, 13))
+        if kind == "distinct":
+            d = random_explicit(rng, n)
+        elif kind == "tied":
+            d = random_explicit(rng, n, levels=(1.0, 2.0, 3.0))
+        elif kind == "flat":
+            d = random_explicit(rng, n, levels=(1.0,))
+        else:
+            d = random_explicit(rng, n, int(rng.integers(1, min(40, 1 << n) + 1)))
+        config = GameConfig(seed=int(rng.integers(2**32)), n_samples=int(rng.choice([1, 50, 3000])))
+        plan = canonical_permutation(d)
+        strategies = [Strategy(plan, tuple((p, 0) for p in range(b)), float(b)) for b in range(n + 1)]
+        strategies.append(build_riskfree_strategy(d, float(rng.uniform(0.0, 0.3)), 1.0))
+        # bets off the leading L run go through the ranks
+        strategies.append(Strategy(plan, ((0, 1),), 1.0))
+        if n > 1:
+            strategies.append(Strategy(plan, ((1, 0),), 1.0))
+            strategies.append(Strategy(plan, ((0, 0), (1, 1)), 2.0))
+        for s in strategies:
+            fresh = Strategy(canonical_permutation(d), s.bets, s.committed_work)
+            exact, mc = exact_evaluate(d, fresh), monte_carlo(d, fresh, config)
+            assert (exact, mc) == _rank_path(d, s, config)
 
 
 # ---------------------------------------------------------------- theorems

@@ -93,6 +93,22 @@ def test_make_explicit_rejects_bad_entries():
         make_explicit(40, [(0, 1.0)])
 
 
+def test_outcome_forms_name_the_same_index():
+    # RLR is index 5 on three boxes, in every form make_explicit accepts
+    for form in (5, np.int64(5), np.uint8(5), "RLR", Outcome((1, 0, 1)), (1, 0, 1), [1, 0, 1]):
+        idx = probdist._as_index(form, 3)
+        assert idx == 5 and type(idx) is int
+    assert probdist._as_index(True, 3) == 1 and probdist._as_index(False, 3) == 0
+    for bad in (8, -1, np.int64(8), 2**70):
+        with pytest.raises(IndexOutOfRange):
+            probdist._as_index(bad, 3)
+    for bad in ("RL", "RXL", (1, 0), (1, 2, 0), Outcome((1, 0))):
+        with pytest.raises(BadOutcomeLength):
+            probdist._as_index(bad, 3)
+    d = make_explicit(3, [(5, 0.25), ("LLL", 0.25), (Outcome((0, 1, 0)), 0.25), ((0, 1, 1), 0.25)])
+    assert d.indices.tolist() == [0, 2, 3, 5]
+
+
 def test_make_explicit_drops_zero_entries():
     d = make_explicit(2, [("LL", 0.5), ("LR", 0.0), ("RR", 0.5)])
     assert d.support_size == 2
