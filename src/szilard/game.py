@@ -39,7 +39,7 @@ from .errors import (
     NonpositiveTemperature,
     TooLarge,
 )
-from .probdist import ExplicitDistribution, _sorted_picks
+from .probdist import ExplicitDistribution, _draws_in
 from .rng import make_rng
 
 BOLTZMANN_J_PER_K = 1.380649e-23  # CODATA exact
@@ -248,16 +248,17 @@ def monte_carlo(
 
     Plays are i.i.d.; the full committed work is credited on each total
     match. Results are a pure function of (distribution, strategy, seed,
-    n_samples), so replay is exact. The plays are the support entries
-    ``sample_indices`` draws, taken in ascending order, and each is looked
-    up in the win mask ``exact_evaluate`` sums: the order does not change
-    the number of wins, so the rate is the one matching the draws in order
-    gives.
+    n_samples), so replay is exact. The plays are the draws of
+    ``sample_indices``, and the wins are those landing in the win mask
+    ``exact_evaluate`` sums. They are counted without one pick per play
+    where the support has at most n_samples entries (hits per entry from
+    the sorted uniforms), and from the sorted picks where it is larger;
+    either way the count is the number of matching draws, so the rate is
+    the one matching the draws in order gives.
     """
     _check_bets(dist.n, strategy.bets)
-    picks = _sorted_picks(dist, make_rng(config.seed), config.n_samples)
-    wins = _wins(dist, strategy)[picks]
-    rate = float(wins.mean())
+    wins = _draws_in(dist, _wins(dist, strategy), make_rng(config.seed), config.n_samples)
+    rate = wins / config.n_samples
     stderr = math.sqrt(rate * (1.0 - rate) / config.n_samples)
     return MonteCarloEstimate(
         success_rate=rate,

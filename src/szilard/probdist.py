@@ -38,7 +38,7 @@ from .errors import (
     TooLarge,
     WeightSumError,
 )
-from .numerics import binomials, logsumexp2, popcount
+from .numerics import binomials, logsumexp2
 
 #: default ceiling on the explicit outcome-space size 2^n
 DEFAULT_EXPLICIT_CAP = 2**24
@@ -158,10 +158,9 @@ class ExplicitDistribution:
 
     @functools.cached_property
     def levels(self) -> Spectrum:
-        """The table's spectrum: one sort, once per table, int64 counts."""
-        p, count = np.unique(self.probs, return_counts=True)
-        p, count = p[::-1], count[::-1].astype(np.int64)
-        return _spectrum(self.n, p, np.log2(p), p * count, np.log2(count), count)
+        """The table's spectrum: one sort, once per table, int64 counts.
+        ``explicit_of`` sets it from the type classes instead."""
+        return _table_spectrum(self.n, *np.unique(self.probs, return_counts=True))
 
     @property
     def p_max(self) -> float:
@@ -200,6 +199,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _spectrum(n: int, *arrays: np.ndarray | None) -> Spectrum:
     return Spectrum(n, *(a if a is None else _freeze(a) for a in arrays))
+
+
+def _table_spectrum(n: int, p: np.ndarray, count: np.ndarray) -> Spectrum:
+    """An explicit table's spectrum from its distinct probabilities in
+    ascending order and their counts, as ``np.unique`` returns them."""
+    p, count = p[::-1], count[::-1].astype(np.int64)
+    return _spectrum(n, p, np.log2(p), p * count, np.log2(count), count)
 
 
 def _from_arrays(n: int, indices: np.ndarray, probs: np.ndarray) -> ExplicitDistribution:
@@ -368,7 +374,11 @@ class TypeClassView:
             top = np.maximum.reduceat(log_count, starts)
             spread = np.repeat(top, np.diff(starts, append=log_p.size))
             log_count = top + np.log2(np.add.reduceat(np.exp2(log_count - spread), starts))
-            count = None if count is None else np.add.reduceat(count, starts)
+            if count is not None:
+                count = np.add.reduceat(count, starts)
+            elif starts.size == 1 and log_p.size == self.n + 1:
+                # all n + 1 classes share one probability: every one of the 2^n strings
+                count = np.array([1 << self.n], dtype=object)
             log_p = log_p[starts]
         return _spectrum(self.n, None, log_p, np.exp2(log_p + log_count), log_count, count)
 
@@ -416,16 +426,39 @@ def explicit_of(dist: MixtureOfProducts | TypeClassView) -> ExplicitDistribution
     Per-string probabilities below the smallest positive float collapse to
     zero and drop out of the support. Both size limits are checked on
     ``dist.n`` before any class is built.
+
+    Each string takes its class's probability through its Hamming weight,
+    a uint8 row built by doubling: the indices 2^j..2^(j+1)-1 weigh one
+    more than 0..2^j-1. Where the exact class counts are known, the table's
+    ``levels`` come from the n + 1 class probabilities, so the table is
+    never sorted: its distinct probabilities are those of the classes, and
+    each one's count is the sum of its classes' counts.
     """
     _check_class_limit(dist.n)
     _check_cap(dist.n)
     view = to_type_classes(dist) if isinstance(dist, MixtureOfProducts) else dist
-    idx = np.arange(1 << view.n, dtype=np.int64)
-    probs = np.exp2(view.class_log_prob)[popcount(idx)]
+    size = 1 << view.n
+    weight = np.empty(size, dtype=np.uint8)
+    half = min(size, 256)  # the first byte's weights in one call, not eight doublings
+    np.bitwise_count(np.arange(half, dtype=np.uint8), out=weight[:half])
+    while half < size:
+        np.add(weight[:half], 1, out=weight[half : 2 * half])
+        half *= 2
+    class_p = np.exp2(view.class_log_prob)
+    probs = class_p[weight]
+    del weight  # freed before the index range is allocated
+    idx = np.arange(size, dtype=np.int64)
     if not probs.all():
         keep = probs > 0.0
         idx, probs = idx[keep], probs[keep]
-    return ExplicitDistribution(view.n, _freeze(idx), _freeze(probs))
+    table = ExplicitDistribution(view.n, _freeze(idx), _freeze(probs))
+    if view.class_count is not None:
+        support = class_p > 0.0
+        p, level = np.unique(class_p[support], return_inverse=True)
+        count = np.zeros(p.size, dtype=np.int64)
+        np.add.at(count, level, view.class_count[support].astype(np.int64))
+        vars(table)["levels"] = _table_spectrum(view.n, p, count)
+    return table
 
 
 def marginal(p: ExplicitDistribution, positions: Sequence[int]) -> ExplicitDistribution:
@@ -501,17 +534,48 @@ def sample_indices(
     return dist.indices[picks]
 
 
-def _sorted_picks(dist: ExplicitDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
-    """The support positions ``sample_indices`` would draw, in ascending order.
+def _sorted_draws(
+    dist: ExplicitDistribution, rng: np.random.Generator, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cdf numpy's ``choice`` searches and the uniforms it draws, sorted.
 
-    numpy's ``choice(k, size, p=p)`` is ``cdf.searchsorted(rng.random(size),
-    side="right")`` over ``cdf = cumsum(p); cdf /= cdf[-1]``. This draws the
-    same uniforms and sorts them before the search, which then walks the cdf
-    once instead of jumping about it; the generator ends in the same state.
+    ``choice(k, size, p=p)`` is ``cdf.searchsorted(rng.random(size),
+    side="right")`` over ``cdf = cumsum(p); cdf /= cdf[-1]``, so a draw u
+    picks entry i exactly when cdf[i-1] <= u < cdf[i]. cdf[-1] is exactly
+    1.0, above every uniform. The generator ends where ``choice`` leaves it.
     """
     cdf = dist.probs / dist.probs.sum()
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
     u = rng.random(size)
     u.sort()
+    return cdf, u
+
+
+def _sorted_picks(dist: ExplicitDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
+    """The support positions ``sample_indices`` would draw, in ascending order.
+
+    With sorted keys the search walks the cdf once instead of jumping about it.
+    """
+    cdf, u = _sorted_draws(dist, rng, size)
     return cdf.searchsorted(u, side="right")
+
+
+def _draws_in(
+    dist: ExplicitDistribution, mask: np.ndarray, rng: np.random.Generator, size: int
+) -> int:
+    """How many of the ``size`` draws of ``sample_indices`` land on the
+    support entries ``mask`` selects.
+
+    The shorter sorted array is searched in the longer one. On a support of
+    at most ``size`` entries each cdf entry is searched among the uniforms:
+    the draws below cdf[i] less those below cdf[i-1] are the hits on entry i
+    (none on a cdf plateau), and every draw lands on some entry. On a larger
+    support each uniform is searched in the cdf, as in ``_sorted_picks``.
+    The count is the same integer either way.
+    """
+    cdf, u = _sorted_draws(dist, rng, size)
+    if cdf.size <= size:
+        hits = np.diff(u.searchsorted(cdf, side="left"), prepend=0)
+        return int(hits[mask].sum())
+    return int(np.count_nonzero(mask[cdf.searchsorted(u, side="right")]))

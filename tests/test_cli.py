@@ -254,7 +254,11 @@ def test_explicit_mixture_merge_matches_a_running_sum(rng):
         ("mix(0.3: uniform^1000, 0.7: uniform^1000)", 0.0),
         # flat only within the profile tolerance: its boxes are biased
         ("explicit{LL: 0.25, LR: 0.25, RL: 0.2500000000001, RR: 0.2499999999999}", None),
-        ("uniform^3000", None),  # counts exist only as log2 values
+        # above n = 2048 only a level of all n + 1 classes has an exact count
+        ("uniform^2049", 0.0),
+        ("uniform^3000", 0.0),
+        ("mix(0.3: uniform^3000, 0.7: uniform^3000)", 0.0),
+        ("mix(0.5: bernoulli(1.0)^3000, 0.5: bernoulli(0.0)^3000)", None),
     ],
 )
 def test_cmd_work_bennett_from_the_spectrum(spec, bits):

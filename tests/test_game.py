@@ -28,7 +28,7 @@ from szilard import (
     work_bounds,
     work_unit,
 )
-from szilard import compress, game
+from szilard import compress, game, probdist
 from szilard.compress import CompressionPlan
 from szilard.errors import (
     BadBetSize,
@@ -418,12 +418,12 @@ def test_game_on_an_explicit_table_builds_no_dense_permutation(monkeypatch):
     def refuse(*args):
         raise AssertionError("the game must not build the dense permutation")
 
-    sorts = []
+    sorts = []  # the size of the array each np.unique call sorts
     unique = np.unique
 
-    def counting_unique(*args, **kwargs):
-        sorts.append(args)
-        return unique(*args, **kwargs)
+    def counting_unique(ar, *args, **kwargs):
+        sorts.append(np.asarray(ar).size)
+        return unique(ar, *args, **kwargs)
 
     monkeypatch.setattr(compress, "_dense_permutation", refuse)
     monkeypatch.setattr(np, "unique", counting_unique)
@@ -432,20 +432,120 @@ def test_game_on_an_explicit_table_builds_no_dense_permutation(monkeypatch):
     mc = monte_carlo(d, s, GameConfig(seed=5, n_samples=20_000))
     assert check_inequalities(d, s, exact, 1e-3, 1.0) == []
     work_bounds(d, 1e-3, 1.0)
-    assert len(sorts) == 1
+    assert sorts == []  # the table took its levels from its type classes
     assert "permutation" not in vars(s.plan) and "ranks" not in vars(s.plan)
-    # a gambler op on a fresh table: one more sort, and no ranks either
+    # a gambler op on a fresh table: only its n + 1 class probabilities are
+    # sorted, and no ranks are built either
     g_table = explicit_of(bernoulli_product(0.6, 11))
     g = build_gambler_strategy(g_table, 4, 1.0)
     g_exact = exact_evaluate(g_table, g)
     monte_carlo(g_table, g, GameConfig(seed=6, n_samples=20_000))
     assert check_inequalities(g_table, g, g_exact, 1e-3, 1.0) == []
-    assert len(sorts) == 2
+    assert sorts and max(sorts) <= 11 + 1
     assert "permutation" not in vars(g.plan) and "ranks" not in vars(g.plan)
     monkeypatch.setattr(compress, "_dense_permutation", dense)
     # the lazily built relabeling is the one the ranks describe
     assert np.array_equal(s.plan.permutation[d.indices], s.plan.ranks)
     assert mc == _draw_by_draw(d, s, GameConfig(seed=5, n_samples=20_000))
+
+
+def _pick_form(d, s, config):
+    """Monte Carlo with one pick per play: the sorted picks looked up in the
+    win mask, as the count was first taken on the sorted stream."""
+    picks = _sorted_picks(d, make_rng(config.seed), config.n_samples)
+    rate = float(game._wins(d, s)[picks].mean())
+    return MonteCarloEstimate(
+        rate, rate * s.committed_work, math.sqrt(rate * (1.0 - rate) / config.n_samples),
+        config.seed, config.n_samples,
+    )
+
+
+def _leading_bets(d):
+    """Every canonical bet on the table: b = 0 (all win) to b = n, and the risk-free one."""
+    plan = canonical_permutation(d)
+    bets = [Strategy(plan, tuple((p, 0) for p in range(b)), float(b)) for b in range(d.n + 1)]
+    return bets + [build_riskfree_strategy(d, 1e-3, 1.0)]
+
+
+@pytest.mark.parametrize("size", [1, 7, 5000])
+def test_monte_carlo_counts_alike_on_either_side_of_the_sample_count(rng, size):
+    # a support of at most n_samples entries counts hits per entry; a larger
+    # one looks up one pick per play
+    for k in (size - 1, size, size + 1):
+        if k < 1:
+            continue
+        n = max(1, (k - 1).bit_length())
+        for d in (random_explicit(rng, n, k), random_explicit(rng, n + 1, k, levels=(1.0, 2.0))):
+            config = GameConfig(seed=int(rng.integers(2**32)), n_samples=size)
+            for s in _leading_bets(d) + [Strategy(canonical_permutation(d), ((0, 1),), 1.0)]:
+                mc = monte_carlo(d, s, config)
+                assert mc == _pick_form(d, s, config) == _draw_by_draw(d, s, config)
+
+
+def test_draws_in_a_mask_are_the_picks_in_it(rng):
+    plateau = [0.25, 5e-324, 0.25, 1e-323, 5e-324, 0.25, 5e-324, 0.25]
+    tables = [
+        point_mass("LR"),
+        make_explicit(3, list(enumerate(plateau))),  # a cdf flat across the tiny entries
+        make_explicit(3, list(enumerate(plateau[::-1]))),
+        make_explicit(10, [(i, 5e-324 if i % 3 else 1 / 342) for i in range(1 << 10)]),
+        random_explicit(rng, 20, 3),  # sparse: a support far below the 2^n outcomes
+        random_explicit(rng, 20, 999),
+        random_explicit(rng, 9, 1 << 9),
+    ]
+    for d in tables:
+        k = d.support_size
+        masks = [np.ones(k, dtype=bool), np.zeros(k, dtype=bool)]
+        masks += [rng.random(k) < f for f in (0.1, 0.5, 0.9)]
+        for size in sorted({1, 7, max(1, k - 1), k, k + 1, 5000}):
+            for mask in masks:
+                seed = int(rng.integers(2**32))
+                gen_a, gen_b = make_rng(seed), make_rng(seed)
+                wins = probdist._draws_in(d, mask, gen_a, size)
+                assert type(wins) is int
+                assert wins == int(mask[_sorted_picks(d, gen_b, size)].sum())
+                assert gen_a.random() == gen_b.random()
+            assert probdist._draws_in(d, masks[0], make_rng(1), size) == size
+            assert probdist._draws_in(d, masks[1], make_rng(1), size) == 0
+
+
+class _FixedUniforms:
+    """A generator stand-in that draws the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.array(u)
+
+    def random(self, size):
+        return self.u[:size].copy()
+
+
+def test_draws_on_a_cdf_entry_pick_the_next_entry():
+    # cdf = [0.25, 0.5, 1.0]; a draw equal to cdf[i] picks entry i + 1
+    d = make_explicit(2, [("LL", 0.25), ("LR", 0.25), ("RL", 0.5)])
+    u = [0.5, 0.25, 0.0, 0.75, 0.25, 0.49999999999999994]
+    for size in (len(u), 2):  # k = 3 entries: hits per entry, then one pick per play
+        assert _sorted_picks(d, _FixedUniforms(u), size).tolist() == sorted(
+            [2, 1, 0, 2, 1, 1][:size]
+        )
+        for bits in range(8):
+            mask = np.array([bits >> i & 1 for i in range(3)], dtype=bool)
+            picks = _sorted_picks(d, _FixedUniforms(u), size)
+            assert probdist._draws_in(d, mask, _FixedUniforms(u), size) == mask[picks].sum()
+
+
+def test_monte_carlo_on_plateaus_and_sparse_tables(rng):
+    tiny = make_explicit(10, [(i, 5e-324 if i % 3 else 1 / 342) for i in range(1 << 10)])
+    sparse = [random_explicit(rng, 20, k) for k in (2, 50, 999)]
+    for d in [tiny] + sparse:
+        for size in (1, 7, 1000, 5000):
+            config = GameConfig(seed=int(rng.integers(2**32)), n_samples=size)
+            for s in _leading_bets(d):
+                assert monte_carlo(d, s, config) == _pick_form(d, s, config)
+    s = _leading_bets(tiny)[0]  # b = 0: every play wins
+    assert monte_carlo(tiny, s, GameConfig(n_samples=777)).success_rate == 1.0
+    s = build_gambler_strategy(tiny, 10, 1.0)  # only the top outcome wins
+    config = GameConfig(seed=3, n_samples=3000)
+    assert monte_carlo(tiny, s, config) == _draw_by_draw(tiny, s, config)
 
 
 def _rank_path(d, s, config):

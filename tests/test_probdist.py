@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -274,6 +275,54 @@ def test_explicit_of_probabilities_are_the_class_probabilities(rng):
         view = to_type_classes(m)
         d = explicit_of(m)
         assert np.array_equal(d.probs, np.exp2(view.class_log_prob[popcount(d.indices)]))
+
+
+def _tying_mixtures(rng, count):
+    """Random mixtures whose classes tie and underflow: q in {0, 1/2, 1},
+    symmetric q / 1 - q pairs of equal weight, and q near the float floor."""
+    for _ in range(count):
+        n = int(rng.integers(1, 15))
+        terms = []  # (raw weight, left probability)
+        for _ in range(int(rng.integers(1, 4))):
+            w, q = float(rng.random() + 0.05), float(rng.uniform(0.05, 0.95))
+            kind = int(rng.integers(4))
+            if kind == 0:
+                terms.append((w, float(rng.choice([0.0, 0.5, 1.0]))))
+            elif kind == 1:
+                terms += [(w, q), (w, 1.0 - q)]
+            elif kind == 2:
+                terms.append((w, float(rng.choice([1e-200, 1e-30, 1.0 - 1e-16]))))
+            else:
+                terms.append((w, q))
+        total = math.fsum(w for w, _ in terms)
+        yield mixture([w / total for w, _ in terms], [bernoulli_product(q, n) for _, q in terms])
+
+
+def test_explicit_of_takes_its_levels_from_the_classes(rng):
+    for m in _tying_mixtures(rng, 400):
+        d = explicit_of(m)
+        assert "levels" in vars(d)  # set from the classes, not sorted from the table
+        want = probdist.ExplicitDistribution(d.n, d.indices, d.probs).levels
+        assert d.levels.n == want.n
+        for field in dataclasses.fields(want)[1:]:
+            got, ref = getattr(d.levels, field.name), getattr(want, field.name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), field.name
+    # a hand-built view without exact counts leaves the table's levels lazy
+    view = to_type_classes(bernoulli_product(0.7, 6))
+    d = explicit_of(probdist.TypeClassView(view.n, view.class_log_prob, view.class_log_count))
+    assert "levels" not in vars(d)
+    assert np.array_equal(d.levels.count, explicit_of(view).levels.count)
+
+
+@pytest.mark.parametrize("n", [2049, 3000])
+def test_a_level_of_every_class_counts_all_strings_above_exact_binomials(n):
+    for m in (uniform_product(n), mixture([0.3, 0.7], [uniform_product(n)] * 2)):
+        count = m.levels.count
+        assert count.tolist() == [2**n] and type(count[0]) is int
+        assert h_max(m) == n
+    # a level of only some classes has no exact count there
+    two = mixture([0.5, 0.5], [bernoulli_product(1.0, n), bernoulli_product(0.0, n)])
+    assert two.levels.log_p.size == 1 and two.levels.count is None
 
 
 def test_popcount_counts_set_bits(rng):
