@@ -142,14 +142,13 @@ def _dense_permutation(dist: ExplicitDistribution, ranks: np.ndarray) -> np.ndar
     """The whole relabeling of 2^n indices: support entries go to their
     ranks, and the other indices fill k.. in index order."""
     k, size = dist.support_size, 1 << dist.n
-    if k < size:
-        # a non-support index x goes to k + (number of non-support indices below x)
-        perm = np.ones(size, dtype=np.int64)
-        perm[0] = k
-        perm[dist.indices[dist.indices < size - 1] + 1] = 0
-        np.cumsum(perm, out=perm)
-    else:
-        perm = np.empty(size, dtype=np.int64)
+    if k == size:  # the support is every index, in order: the ranks are the permutation
+        return ranks
+    # a non-support index x goes to k + (number of non-support indices below x)
+    perm = np.ones(size, dtype=np.int64)
+    perm[0] = k
+    perm[dist.indices[dist.indices < size - 1] + 1] = 0
+    np.cumsum(perm, out=perm)
     perm[dist.indices] = ranks
     perm.setflags(write=False)
     return perm

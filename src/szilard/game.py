@@ -11,8 +11,10 @@ Two closed-form figures envelope all risk preferences:
 * risk-free work  (n - H_max^eps) * c  -- achievable with failure
   probability at most eps by compressing and betting the leading boxes;
 * gambling bound  (n - H_min^eps + log2(1/eps)) * c  -- no strategy that
-  succeeds with probability above eps can commit more, because the peak of
-  a marginal on b boxes is at most 2^(n-b) times the global peak.
+  succeeds with probability above 2 eps can commit more. A bet on b boxes
+  wins on one cell of 2^(n-b) outcomes, which holds at most
+  eps + 2^(n-b) 2^(-H_min^eps), so success P > eps needs
+  b <= n - H_min^eps + log2(1/(P - eps)); at P > 2 eps that is the figure.
 """
 from __future__ import annotations
 
@@ -144,7 +146,11 @@ def riskfree_work_executable(dist: Distribution, eps: float, c: float) -> Work:
 
 
 def gambler_work_bound(dist: Distribution, eps: float, c: float) -> Work:
-    """(n - H_min^eps + log2(1/eps)) * c, the cap for success probability > eps."""
+    """(n - H_min^eps + log2(1/eps)) * c, the cap for success probability > 2 eps.
+
+    Success just above eps can commit more: the cap for success P > eps is
+    n - H_min^eps + log2(1/(P - eps)), which ``check_inequalities`` checks.
+    """
     if eps <= 0.0:
         raise BadEpsilon("the gambling bound needs epsilon > 0")
     bits = dist.n - h_min_smooth(dist, eps) + math.log2(1.0 / eps)
@@ -189,6 +195,18 @@ def _match_mask(indices: np.ndarray, n: int, bets) -> np.ndarray:
     return (indices & mask) == want
 
 
+def _covers_support(dist: ExplicitDistribution, strategy: Strategy) -> bool:
+    """Whether the strategy wins on every support entry of ``dist``: it bets
+    L on boxes 0..b-1 of the table's canonical plan, and the winning cell of
+    2^(n-b) outcomes holds the whole support."""
+    plan, bets = strategy.plan, strategy.bets
+    return (
+        plan.table is dist
+        and bets == _leading_l(len(bets))
+        and 1 << (dist.n - len(bets)) >= dist.support_size
+    )
+
+
 def _wins(dist: ExplicitDistribution, strategy: Strategy) -> np.ndarray:
     """Which support entries of ``dist`` the strategy wins on, in index order.
 
@@ -209,10 +227,14 @@ def exact_evaluate(dist: ExplicitDistribution, strategy: Strategy) -> ExactResul
     Success is the post-permutation marginal probability of the guessed
     assignment on the bet positions; failure pays nothing. The winning
     probabilities are summed in index order, whichever way the wins are
-    found, so the figure does not depend on it.
+    found, so the figure does not depend on it. A bet that wins on the whole
+    support sums the table itself, the array an all-true mask would copy.
     """
     _check_bets(dist.n, strategy.bets)
-    success = float(dist.probs[_wins(dist, strategy)].sum())
+    if _covers_support(dist, strategy):
+        success = float(dist.probs.sum())
+    else:
+        success = float(dist.probs[_wins(dist, strategy)].sum())
     return ExactResult(success, success * strategy.committed_work)
 
 
@@ -254,10 +276,15 @@ def monte_carlo(
     where the support has at most n_samples entries (hits per entry from
     the sorted uniforms), and from the sorted picks where it is larger;
     either way the count is the number of matching draws, so the rate is
-    the one matching the draws in order gives.
+    the one matching the draws in order gives. A bet that wins on the whole
+    support wins every play, so nothing is drawn: each draw picks a support
+    entry, and the generator is the call's own.
     """
     _check_bets(dist.n, strategy.bets)
-    wins = _draws_in(dist, _wins(dist, strategy), make_rng(config.seed), config.n_samples)
+    if _covers_support(dist, strategy):
+        wins = config.n_samples
+    else:
+        wins = _draws_in(dist, _wins(dist, strategy), make_rng(config.seed), config.n_samples)
     rate = wins / config.n_samples
     stderr = math.sqrt(rate * (1.0 - rate) / config.n_samples)
     return MonteCarloEstimate(
@@ -292,5 +319,15 @@ def check_inequalities(
             violations.append(
                 f"{len(strategy.bets)} bets succeed with p={exact.success_prob:.6g} "
                 f"> eps but reach the marginal-peak cap {cap:.6g}"
+            )
+        # the winning cell holds at most eps + 2^(n-b) 2^(-H_min^eps)
+        smoothed_cap = (
+            bounds.max_work.bits - math.log2(1.0 / eps)
+            + math.log2(1.0 / (exact.success_prob - eps))
+        )
+        if len(strategy.bets) > smoothed_cap + 1e-9:
+            violations.append(
+                f"{len(strategy.bets)} bets succeed with p={exact.success_prob:.6g} "
+                f"> eps but exceed the smoothed cap {smoothed_cap:.6g}"
             )
     return violations

@@ -138,7 +138,7 @@ class Spectrum:
     count: np.ndarray | None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ExplicitDistribution:
     """Support of a distribution over {L,R}^n as aligned index/probability arrays.
 
@@ -146,15 +146,28 @@ class ExplicitDistribution:
     entries only (zero-probability outcomes are not part of the support).
     Arrays are frozen read-only; every operation returns a new object.
     Subnormalized tables (total < 1) appear only as smoothing witnesses.
+
+    A table that holds every outcome is built with ``indices=None``: its
+    indices are 0..2^n-1, and the range is allocated on first read only.
     """
 
     n: int
-    indices: np.ndarray
     probs: np.ndarray
+
+    def __init__(self, n: int, indices: np.ndarray | None, probs: np.ndarray):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "probs", probs)
+        if indices is not None:
+            vars(self)["indices"] = indices
+
+    @functools.cached_property
+    def indices(self) -> np.ndarray:
+        """0..2^n-1, for a table built without its indices."""
+        return _freeze(np.arange(1 << self.n, dtype=np.int64))
 
     @property
     def support_size(self) -> int:
-        return int(self.indices.size)
+        return int(self.probs.size)
 
     @functools.cached_property
     def levels(self) -> Spectrum:
@@ -186,8 +199,9 @@ class ExplicitDistribution:
     def same_table(self, other: "ExplicitDistribution", tol: float = 0.0) -> bool:
         return (
             self.n == other.n
-            and self.indices.size == other.indices.size
-            and bool(np.all(self.indices == other.indices))
+            and self.support_size == other.support_size
+            # two tables that hold every outcome share their indices
+            and (self.support_size == 1 << self.n or np.array_equal(self.indices, other.indices))
             and bool(np.all(np.abs(self.probs - other.probs) <= tol))
         )
 
@@ -211,11 +225,18 @@ def _table_spectrum(n: int, p: np.ndarray, count: np.ndarray) -> Spectrum:
 def _from_arrays(n: int, indices: np.ndarray, probs: np.ndarray) -> ExplicitDistribution:
     """Assemble without normalization checks; sorts by index, drops zeros."""
     indices = np.asarray(indices, dtype=np.int64)
-    probs = np.asarray(probs, dtype=float)
-    keep = probs > 0.0
-    indices, probs = indices[keep], probs[keep]
     order = np.argsort(indices)
-    return ExplicitDistribution(n, _freeze(indices[order]), _freeze(probs[order].copy()))
+    return _sorted_table(n, indices[order], np.asarray(probs, dtype=float)[order])
+
+
+def _sorted_table(n: int, indices: np.ndarray, probs: np.ndarray) -> ExplicitDistribution:
+    """A table from distinct ascending indices and fresh probability arrays,
+    keeping the positive entries; a table of every outcome drops its indices."""
+    keep = probs > 0.0
+    if not keep.all():
+        indices, probs = indices[keep], probs[keep]
+    full = probs.size == 1 << n
+    return ExplicitDistribution(n, None if full else _freeze(indices), _freeze(probs))
 
 
 def _as_index(outcome, n: int) -> int:
@@ -248,24 +269,39 @@ def make_explicit(n: int, entries: Iterable[tuple[object, float]]) -> ExplicitDi
     Outcomes may be Outcome objects, L/R strings, bit sequences or raw
     indices. Zero entries are dropped from the support; the total must be
     1 within NORMALIZATION_TOL.
+
+    The checks run in this order, each over every entry, and the first
+    failing one raises, naming the first offending entry: the outcome's
+    form and range (BadOutcomeLength, IndexOutOfRange), a negative
+    probability (NegativeProbability), an outcome given twice
+    (SzilardError), and the total (NotNormalized).
     """
     if n < 1:
         raise BadOutcomeLength(f"need n >= 1, got {n}")
     _check_cap(n)
-    seen: dict[int, float] = {}
-    for outcome, p in entries:
-        p = float(p)
-        if p < 0.0:
-            raise NegativeProbability(f"probability {p} for outcome {outcome}")
-        idx = _as_index(outcome, n)
-        if idx in seen:
-            raise SzilardError(f"duplicate outcome {outcome}")
-        seen[idx] = p
-    total = math.fsum(seen.values())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    pairs = list(entries)
+    size = 1 << n
+    # exact ints in range pass straight through; every other form is checked
+    raw = [o if type(o) is int and 0 <= o < size else _as_index(o, n) for o, _ in pairs]
+    values = [float(p) for _, p in pairs]
+    probs = np.array(values, dtype=float)
+    negative = np.flatnonzero(probs < 0.0)
+    if negative.size:
+        i = int(negative[0])
+        raise NegativeProbability(f"probability {values[i]} for outcome {pairs[i][0]}")
+    indices = np.array(raw, dtype=np.int64)
+    order = np.argsort(indices)
+    indices = indices[order]
+    if np.any(indices[1:] == indices[:-1]):
+        seen: set[int] = set()
+        for i, idx in enumerate(raw):
+            if idx in seen:
+                raise SzilardError(f"duplicate outcome {pairs[i][0]}")
+            seen.add(idx)
+    total = math.fsum(values)
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:  # a NaN total fails too
         raise NotNormalized(f"probabilities sum to {total!r}")
-    return _from_arrays(n, np.fromiter(seen.keys(), dtype=np.int64, count=len(seen)),
-                        np.fromiter(seen.values(), dtype=float, count=len(seen)))
+    return _sorted_table(n, indices, probs[order])
 
 
 def point_mass(outcome: Outcome | str) -> ExplicitDistribution:
@@ -427,33 +463,34 @@ def explicit_of(dist: MixtureOfProducts | TypeClassView) -> ExplicitDistribution
     zero and drop out of the support. Both size limits are checked on
     ``dist.n`` before any class is built.
 
-    Each string takes its class's probability through its Hamming weight,
-    a uint8 row built by doubling: the indices 2^j..2^(j+1)-1 weigh one
-    more than 0..2^j-1. Where the exact class counts are known, the table's
-    ``levels`` come from the n + 1 class probabilities, so the table is
-    never sorted: its distinct probabilities are those of the classes, and
-    each one's count is the sum of its classes' counts.
+    Each string takes its class's probability through its Hamming weight.
+    An index splits into its high and low n/2 bits, and its weight is the
+    sum of theirs, so the table is a row per high half: row a of the
+    (hi + 1) x 2^lo gather ``class_p[a + w_lo]`` serves every high half of
+    weight a, and is copied whole into place. Where every class is
+    positive the table holds every outcome and carries no index array.
+    Where the exact class counts are known, the table's ``levels`` come
+    from the n + 1 class probabilities, so the table is never sorted: its
+    distinct probabilities are those of the classes, and each one's count
+    is the sum of its classes' counts.
     """
     _check_class_limit(dist.n)
     _check_cap(dist.n)
     view = to_type_classes(dist) if isinstance(dist, MixtureOfProducts) else dist
-    size = 1 << view.n
-    weight = np.empty(size, dtype=np.uint8)
-    half = min(size, 256)  # the first byte's weights in one call, not eight doublings
-    np.bitwise_count(np.arange(half, dtype=np.uint8), out=weight[:half])
-    while half < size:
-        np.add(weight[:half], 1, out=weight[half : 2 * half])
-        half *= 2
+    lo = view.n // 2
+    hi = view.n - lo
+    w_lo = np.bitwise_count(np.arange(1 << lo))
+    w_hi = np.bitwise_count(np.arange(1 << hi))
     class_p = np.exp2(view.class_log_prob)
-    probs = class_p[weight]
-    del weight  # freed before the index range is allocated
-    idx = np.arange(size, dtype=np.int64)
-    if not probs.all():
+    rows = class_p[np.arange(hi + 1)[:, None] + w_lo]
+    probs = rows[w_hi].reshape(-1)
+    support = class_p > 0.0
+    if support.all():
+        table = ExplicitDistribution(view.n, None, _freeze(probs))
+    else:
         keep = probs > 0.0
-        idx, probs = idx[keep], probs[keep]
-    table = ExplicitDistribution(view.n, _freeze(idx), _freeze(probs))
+        table = ExplicitDistribution(view.n, _freeze(np.flatnonzero(keep)), _freeze(probs[keep]))
     if view.class_count is not None:
-        support = class_p > 0.0
         p, level = np.unique(class_p[support], return_inverse=True)
         count = np.zeros(p.size, dtype=np.int64)
         np.add.at(count, level, view.class_count[support].astype(np.int64))
@@ -513,7 +550,7 @@ def sample(
     """
     if isinstance(dist, ExplicitDistribution):
         probs = dist.probs / dist.probs.sum()
-        i = int(rng.choice(dist.indices.size, p=probs))
+        i = int(rng.choice(dist.support_size, p=probs))
         return Outcome.from_index(int(dist.indices[i]), dist.n)
     view = to_type_classes(dist) if isinstance(dist, MixtureOfProducts) else dist
     masses = np.exp2(view.class_log_mass())
@@ -530,7 +567,7 @@ def sample_indices(
 ) -> np.ndarray:
     """Vectorized draw of ``size`` outcome indices from an explicit table."""
     probs = dist.probs / dist.probs.sum()
-    picks = rng.choice(dist.indices.size, size=size, p=probs)
+    picks = rng.choice(dist.support_size, size=size, p=probs)
     return dist.indices[picks]
 
 

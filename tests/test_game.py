@@ -17,6 +17,8 @@ from szilard import (
     h_max_smooth,
     h_max_smooth_detail,
     h_min,
+    h_min_smooth,
+    h_min_smooth_detail,
     make_explicit,
     mixture,
     monte_carlo,
@@ -28,7 +30,7 @@ from szilard import (
     work_bounds,
     work_unit,
 )
-from szilard import compress, game, probdist
+from szilard import compress, entropy, game, probdist
 from szilard.compress import CompressionPlan
 from szilard.errors import (
     BadBetSize,
@@ -588,6 +590,65 @@ def test_canonical_bets_win_as_the_rank_path(rng, kind):
             assert (exact, mc) == _rank_path(d, s, config)
 
 
+def _mask_path(d, s, config):
+    """Exact success and Monte Carlo through an all-true win mask: the
+    masked copy summed, and the draws counted in it."""
+    mask = np.ones(d.support_size, dtype=bool)
+    success = float(d.probs[mask].sum())
+    rate = probdist._draws_in(d, mask, make_rng(config.seed), config.n_samples) / config.n_samples
+    mc = MonteCarloEstimate(
+        rate, rate * s.committed_work, math.sqrt(rate * (1.0 - rate) / config.n_samples),
+        config.seed, config.n_samples,
+    )
+    return ExactResult(success, success * s.committed_work), mc
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "flat", "witness"])
+def test_bets_whose_cell_holds_the_support_score_as_the_mask_path(rng, kind):
+    for _ in range(12):
+        n = int(rng.integers(1, 13))
+        if kind == "dense":
+            d = explicit_of(bernoulli_product(float(rng.uniform(0.05, 0.95)), n))
+        elif kind == "sparse":
+            d = random_explicit(rng, n + 6, int(rng.integers(1, 100)))
+        elif kind == "flat":
+            d = random_explicit(rng, n, levels=(1.0,))
+        else:  # subnormalized: a smoothing witness sums to at least 1 - eps
+            source = random_explicit(rng, n)
+            eps = float(rng.uniform(0.01, 0.3))
+            detail = h_min_smooth_detail if rng.random() < 0.5 else h_max_smooth_detail
+            d = detail(source, eps).witness
+        config = GameConfig(seed=int(rng.integers(2**32)), n_samples=int(rng.choice([1, 50, 3000])))
+        plan = canonical_permutation(d)
+        covering = [b for b in range(d.n + 1) if 1 << (d.n - b) >= d.support_size]
+        assert covering and covering[0] == 0
+        for b in covering:
+            s = Strategy(plan, tuple((p, 0) for p in range(b)), float(b))
+            assert game._covers_support(d, s)
+            assert (exact_evaluate(d, s), monte_carlo(d, s, config)) == _mask_path(d, s, config)
+            assert exact_evaluate(d, s).success_prob == d.total()
+        # the next bet splits the support; other bets and plans are matched
+        identity = CompressionPlan(d.n, np.arange(1 << d.n), ())
+        others = [Strategy(plan, ((0, 1),), 1.0), Strategy(identity, (), 0.0)]
+        if covering[-1] < d.n:
+            others.append(Strategy(plan, tuple((p, 0) for p in range(covering[-1] + 1)), 0.0))
+        assert not any(game._covers_support(d, s) for s in others)
+
+
+def test_the_riskfree_game_reads_no_index_range():
+    d = explicit_of(bernoulli_product(0.7, 20))
+    eps = 1e-3
+    entropy.smooth_report(d, eps)
+    s = build_riskfree_strategy(d, eps, 1.0)
+    exact = exact_evaluate(d, s)
+    mc = monte_carlo(d, s, GameConfig(epsilon=eps, seed=7))
+    assert check_inequalities(d, s, exact, eps, 1.0) == []
+    assert game._covers_support(d, s) and mc.success_rate == 1.0
+    assert exact.success_prob == float(d.probs.sum())
+    assert "indices" not in vars(d)
+    assert np.array_equal(d.indices, np.arange(1 << 20)) and not d.indices.flags.writeable
+
+
 # ---------------------------------------------------------------- theorems
 
 
@@ -629,6 +690,66 @@ def test_bet_count_capped_by_min_entropy_margin(rng):
         success = exact_evaluate(d, s).success_prob
         if success > eps:
             assert k < n - h_min(d) + math.log2(1.0 / eps)
+
+
+def _smoothed_cap(d, eps, success):
+    """n - H_min^eps + log2(1/(P - eps)): the most boxes a bet winning with
+    probability P > eps can stake."""
+    return d.n - h_min_smooth(d, eps) + math.log2(1.0 / (success - eps))
+
+
+def test_success_just_above_eps_beats_the_printed_cap():
+    # the counterexample: 7 bets on bernoulli(0.7)^10 win with P = 0.11299 > eps = 0.1,
+    # past the printed 5.69 bits, and inside the P-dependent 8.64 bits
+    d = explicit_of(bernoulli_product(0.7, 10))
+    eps = 0.1
+    s = build_gambler_strategy(d, 7, 1.0)
+    exact = exact_evaluate(d, s)
+    assert exact.success_prob == pytest.approx(0.11299, abs=1e-5)
+    assert exact.success_prob > eps
+    printed = gambler_work_bound(d, eps, 1.0).bits
+    assert printed == pytest.approx(5.69, abs=5e-3) and len(s.bets) > printed
+    cap = _smoothed_cap(d, eps, exact.success_prob)
+    assert cap == pytest.approx(8.64, abs=5e-3) and len(s.bets) <= cap
+    assert check_inequalities(d, s, exact, eps, 1.0) == []
+    # a success the cell cannot hold is reported
+    claimed = ExactResult(0.6, 0.6 * s.committed_work)
+    violations = check_inequalities(d, s, claimed, eps, 1.0)
+    assert len(violations) == 1 and "smoothed cap" in violations[0]
+
+
+def test_smoothed_gambling_cap_holds_for_the_best_bet_of_every_size(rng):
+    tables = [explicit_of(bernoulli_product(0.7, 10))]
+    tables += [random_explicit(rng, int(rng.integers(1, 11))) for _ in range(6)]
+    tables += [random_explicit(rng, int(rng.integers(2, 11)), levels=(1.0, 2.0)) for _ in range(3)]
+    beaten = 0  # bets past the printed figure with success above eps
+    for d in tables:
+        plan = canonical_permutation(d)
+        for m in range(1, d.n + 1):
+            bets, mass = exhaustive_gambler_search(d, m)
+            s = Strategy(plan, bets, float(m))
+            exact = exact_evaluate(d, s)
+            assert exact.success_prob == pytest.approx(mass, rel=1e-12, abs=1e-15)
+            for eps in (1e-3, 0.01, 0.05, 0.1, 0.3):
+                if mass <= eps:
+                    continue
+                assert m <= _smoothed_cap(d, eps, mass) + 1e-9
+                assert check_inequalities(d, s, exact, eps, 1.0) == []
+                beaten += m > gambler_work_bound(d, eps, 1.0).bits
+    assert beaten
+
+
+def test_smoothed_gambling_cap_holds_for_the_closed_form_bet():
+    for n in range(10, 19, 2):
+        for q in (0.6, 0.7, 0.8, 0.9):
+            d = explicit_of(bernoulli_product(q, n))
+            for m in range(1, n + 1):
+                s = build_gambler_strategy(d, m, 1.0)
+                exact = exact_evaluate(d, s)
+                for eps in (1e-4, 1e-3, 0.01, 0.1):
+                    if exact.success_prob > eps:
+                        assert m <= _smoothed_cap(d, eps, exact.success_prob) + 1e-9
+                        assert check_inequalities(d, s, exact, eps, 1.0) == []
 
 
 def test_check_inequalities_clean_run(rng):

@@ -36,10 +36,11 @@ from szilard.errors import (
     NotBijective,
     NotNormalized,
     SupportOverflow,
+    SzilardError,
     TooLarge,
     WeightSumError,
 )
-from szilard import probdist
+from szilard import compress, entropy, probdist
 from szilard.numerics import log2_binomials, popcount
 from szilard.rng import make_rng
 
@@ -83,6 +84,9 @@ def test_make_explicit_point_mass():
 def test_make_explicit_not_normalized():
     with pytest.raises(NotNormalized):
         make_explicit(2, [("LL", 0.6), ("RR", 0.5)])
+    for entries in ([("L", math.nan), ("R", math.nan)], [("L", 1.0), ("R", math.nan)]):
+        with pytest.raises(NotNormalized, match="nan"):
+            make_explicit(1, entries)
 
 
 def test_make_explicit_rejects_bad_entries():
@@ -92,6 +96,42 @@ def test_make_explicit_rejects_bad_entries():
         make_explicit(2, [("L", 1.0)])
     with pytest.raises(SupportOverflow):
         make_explicit(40, [(0, 1.0)])
+
+
+def test_make_explicit_names_the_first_offending_entry():
+    with pytest.raises(NegativeProbability, match=r"-0\.2 for outcome RL$"):
+        make_explicit(2, [("LL", 0.9), ("LR", 0.4), ("RL", -0.2), ("RR", -0.1)])
+    for bad in (4, -1, 2**70):
+        with pytest.raises(IndexOutOfRange, match=f"^index {bad} outside"):
+            make_explicit(2, [(0, 0.5), (1, 0.25), (bad, 0.25), (9, 0.0)])
+    with pytest.raises(BadOutcomeLength, match="RLR has 3 bits"):
+        make_explicit(2, [(0, 0.5), ("RLR", 0.25), ("R", 0.25)])
+    # LR repeats index 1 before LL repeats index 0
+    with pytest.raises(SzilardError, match="duplicate outcome LR$") as err:
+        make_explicit(2, [(1, 0.25), (0, 0.25), ("LR", 0.25), ("LL", 0.25)])
+    assert type(err.value) is SzilardError
+    with pytest.raises(SzilardError, match="duplicate outcome LL$"):  # a zero entry counts too
+        make_explicit(2, [(0, 1.0), ("LL", 0.0)])
+
+
+def test_make_explicit_checks_form_then_sign_then_repeats_then_total():
+    with pytest.raises(IndexOutOfRange):
+        make_explicit(2, [("LL", -0.5), (7, 1.5)])
+    with pytest.raises(NegativeProbability):
+        make_explicit(2, [(0, 1.5), (0, -0.5)])
+    with pytest.raises(SzilardError, match="duplicate") as err:
+        make_explicit(2, [(0, 0.7), (0, 0.7)])
+    assert type(err.value) is SzilardError
+
+
+def test_make_explicit_takes_every_outcome_form_at_once():
+    # raw ints pass straight through; the other forms go through _as_index
+    entries = [(5, 0.125), (np.int64(6), 0.0), (True, 0.125), ("RRR", 0.25), ("LLL", 0.125),
+               (Outcome((0, 1, 0)), 0.125), ((1, 0, 0), 0.125), ([0, 1, 1], 0.125)]
+    d = make_explicit(3, entries)
+    assert d.indices.tolist() == [0, 1, 2, 3, 4, 5, 7]
+    assert d.probs.tolist() == [0.125] * 6 + [0.25]
+    assert make_explicit(3, iter(entries)).same_table(d)
 
 
 def test_outcome_forms_name_the_same_index():
@@ -275,6 +315,83 @@ def test_explicit_of_probabilities_are_the_class_probabilities(rng):
         view = to_type_classes(m)
         d = explicit_of(m)
         assert np.array_equal(d.probs, np.exp2(view.class_log_prob[popcount(d.indices)]))
+
+
+def test_the_row_gather_is_the_flat_class_gather():
+    # n = 1 has no low bits; q in {0, 1} empties every class but one
+    for n in range(1, 23):
+        for m in (
+            bernoulli_product(0.7, n),
+            bernoulli_product(0.0, n),
+            mixture([0.4, 0.6], [bernoulli_product(0.0, n), bernoulli_product(1.0, n)]),
+            mixture([0.5, 0.5], [bernoulli_product(1.0, n), bernoulli_product(0.3, n)]),
+        ):
+            flat = np.exp2(to_type_classes(m).class_log_prob)[np.bitwise_count(np.arange(1 << n))]
+            keep = flat > 0.0
+            d = explicit_of(m)
+            assert ("indices" in vars(d)) == (not keep.all())
+            assert np.array_equal(d.probs, flat[keep])
+            assert np.array_equal(d.indices, np.flatnonzero(keep))
+            assert not d.indices.flags.writeable and not d.probs.flags.writeable
+
+
+def test_tables_of_every_outcome_carry_no_index_array(rng):
+    for n in (1, 2, 5, 9):
+        tables = [
+            explicit_of(bernoulli_product(0.7, n)),
+            random_explicit(rng, n, 1 << n),
+            random_explicit(rng, n, 1 << n, levels=(1.0, 2.0)),
+            probdist._from_arrays(n, np.arange(1 << n)[::-1], np.full(1 << n, 0.5**n)),
+        ]
+        for d in tables:
+            assert "indices" not in vars(d) and d.support_size == 1 << n
+            assert np.array_equal(d.indices, np.arange(1 << n))
+            assert d.indices.dtype == np.int64 and not d.indices.flags.writeable
+    a, b = explicit_of(bernoulli_product(0.7, 3)), random_explicit(rng, 2, 4)
+    indexed = tensor(*(probdist.ExplicitDistribution(t.n, t.indices, t.probs) for t in (a, b)))
+    assert tensor(a, b).same_table(indexed)
+    assert not tensor(a, random_explicit(rng, 2, 3)).same_table(indexed)
+
+
+def test_tables_without_an_index_array_answer_as_indexed_ones(rng):
+    """Every reader of ``indices`` sees the range an index array would hold."""
+    for n in (1, 4, 7):
+        for implicit_of in (
+            lambda: explicit_of(bernoulli_product(0.7, n)),
+            lambda: explicit_of(mixture([0.5, 0.5], [uniform_product(n), bernoulli_product(0.2, n)])),
+        ):
+            d = implicit_of()
+            indexed = probdist.ExplicitDistribution(n, np.arange(1 << n), d.probs)
+            assert "indices" in vars(indexed)
+            sparse = probdist._from_arrays(n, np.arange(1, 1 << n), d.probs[1:])
+            assert implicit_of().same_table(indexed) and indexed.same_table(implicit_of())
+            assert not implicit_of().same_table(sparse) and not sparse.same_table(implicit_of())
+            moved = probdist._from_arrays(n, np.arange((1 << n) - 1), d.probs[1:])
+            assert sparse.same_table(sparse) and not sparse.same_table(moved)
+            for x in (0, 1, (1 << n) - 1):
+                assert implicit_of().prob_of(x) == indexed.prob_of(x)
+            assert list(implicit_of().items()) == list(indexed.items())
+            assert implicit_of().as_dict() == indexed.as_dict()
+            positions = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            assert marginal(implicit_of(), positions).same_table(marginal(indexed, positions))
+            assert statistical_distance(implicit_of(), sparse) == statistical_distance(indexed, sparse)
+            for eps in (0.0, 0.05, 0.3):
+                for detail in (entropy.h_max_smooth_detail, entropy.h_min_smooth_detail):
+                    got, want = detail(implicit_of(), eps).witness, detail(indexed, eps).witness
+                    assert got.same_table(want)
+                    assert np.array_equal(got.indices, want.indices)
+            got, want = (compress.canonical_permutation(t) for t in (implicit_of(), indexed))
+            assert np.array_equal(got.permutation, want.permutation)
+            assert not got.permutation.flags.writeable
+            assert got.profile == want.profile
+            assert compress.bit_profile(implicit_of()) == compress.bit_profile(indexed)
+            if n > 1:
+                got, want = (compress.apply_cnot(t, 0, n - 1) for t in (implicit_of(), indexed))
+                assert got.same_table(want)
+            assert np.array_equal(
+                sample_indices(implicit_of(), make_rng(3), 50), sample_indices(indexed, make_rng(3), 50)
+            )
+            assert sample(implicit_of(), make_rng(4)) == sample(indexed, make_rng(4))
 
 
 def _tying_mixtures(rng, count):
