@@ -38,7 +38,7 @@ class CompressionPlan:
     only its table. ``ranks`` (the new index of each support entry of the
     table), the dense permutation and the profile are built the first time
     they are read. The game reads none of them for the canonical bets: it
-    asks ``top`` which entries are among the most likely ones.
+    asks the table's ``top`` which entries are among the most likely ones.
     """
 
     def __init__(self, n: int, permutation=None, profile=None, *, table=None):
@@ -70,26 +70,6 @@ class CompressionPlan:
             return self.ranks
         return self.permutation[dist.indices]
 
-    def top(self, size: int) -> np.ndarray:
-        """Mask over the table's support of the entries ranked below ``size``.
-
-        Equal to ``ranks < size``, read off the table's levels: every entry
-        above the boundary level, where the cumulative count first exceeds
-        ``size``, and the first entries of that level in index order.
-        """
-        dist = self.table
-        if size >= dist.support_size:
-            return np.ones(dist.support_size, dtype=bool)
-        levels = dist.levels
-        cum = np.cumsum(levels.count)
-        boundary = int(np.searchsorted(cum, size, side="right"))
-        p = levels.p[boundary]
-        mask = dist.probs > p
-        rem = size - (int(cum[boundary - 1]) if boundary else 0)
-        if rem:
-            mask[np.flatnonzero(dist.probs == p)[:rem]] = True
-        return mask
-
 
 def bit_profile(dist: ExplicitDistribution) -> tuple[BitInfo, ...]:
     """Label each box: known if its content is certain, uniform if its
@@ -115,7 +95,7 @@ def canonical_permutation(dist: ExplicitDistribution) -> CompressionPlan:
     probability; ties and the zero-probability remainder keep their original
     index order, which makes recompression the identity. Nothing is computed
     here: the plan builds its ranks, dense permutation and profile when a
-    caller reads them, and answers ``top`` from the table's levels.
+    caller reads them.
     """
     return CompressionPlan(dist.n, table=dist)
 

@@ -152,7 +152,7 @@ def h_max_smooth_detail(dist: Distribution, eps: float) -> SmoothedMax:
     Deletes whole levels in ascending probability while the budget lasts,
     then as many outcomes of the boundary level as the rest buys. The
     witness, built for explicit tables only, deletes tied outcomes in
-    descending index order.
+    descending index order, so it keeps the table's ``top`` entries.
     """
     _check_epsilon(eps)
     s = spectrum(dist)
@@ -177,10 +177,8 @@ def h_max_smooth_detail(dist: Distribution, eps: float) -> SmoothedMax:
     result = SmoothedMax(bits, removed, retained, None)
     if not isinstance(dist, ExplicitDistribution):
         return result
-    order = np.lexsort((-dist.indices, dist.probs))
-    keep = np.ones(dist.support_size, dtype=bool)
-    keep[order[: dist.support_size - retained]] = False
-    witness = _from_arrays(dist.n, dist.indices[keep], dist.probs[keep])
+    keep = dist.top(retained)
+    witness = dist if keep is None else _from_arrays(dist.n, dist.indices[keep], dist.probs[keep])
     return dataclasses.replace(result, witness=witness)
 
 

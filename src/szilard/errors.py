@@ -77,6 +77,10 @@ class BadSampleCount(SzilardError):
     pass
 
 
+class BadSeed(SzilardError):
+    pass
+
+
 class BadNList(SzilardError):
     pass
 

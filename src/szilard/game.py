@@ -34,9 +34,11 @@ from .entropy import (
     spectrum,
 )
 from .errors import (
+    ArityMismatch,
     BadBetSize,
     BadEpsilon,
     BadSampleCount,
+    BadSeed,
     InvalidBets,
     NonpositiveTemperature,
     TooLarge,
@@ -80,10 +82,11 @@ class GameConfig:
     n_samples: int = 100_000
 
     def __post_init__(self):
-        if self.temperature <= 0.0:
-            raise NonpositiveTemperature(f"temperature {self.temperature} K")
+        _check_temperature(self.temperature)
         if not 0.0 <= self.epsilon < 1.0:
             raise BadEpsilon(f"epsilon {self.epsilon}")
+        if self.seed < 0:  # checked here too: a bet that wins every play draws nothing
+            raise BadSeed(f"seed {self.seed} is negative")
         if self.n_samples < 1:
             raise BadSampleCount(f"need at least one Monte Carlo sample, got {self.n_samples}")
         if self.n_samples > 10**7:  # Monte Carlo holds about 40 bytes per play
@@ -118,10 +121,14 @@ class MonteCarloEstimate:
     n_samples: int
 
 
+def _check_temperature(temperature: float):
+    if not 0.0 < temperature < math.inf:  # NaN fails too
+        raise NonpositiveTemperature(f"temperature {temperature} K is not finite and positive")
+
+
 def work_unit(temperature: float) -> Work:
     """Work value of one perfectly known box at the given temperature."""
-    if temperature <= 0.0:
-        raise NonpositiveTemperature(f"temperature {temperature} K")
+    _check_temperature(temperature)
     return Work.from_bits(1.0, BOLTZMANN_J_PER_K * temperature * math.log(2.0))
 
 
@@ -195,29 +202,21 @@ def _match_mask(indices: np.ndarray, n: int, bets) -> np.ndarray:
     return (indices & mask) == want
 
 
-def _covers_support(dist: ExplicitDistribution, strategy: Strategy) -> bool:
-    """Whether the strategy wins on every support entry of ``dist``: it bets
-    L on boxes 0..b-1 of the table's canonical plan, and the winning cell of
-    2^(n-b) outcomes holds the whole support."""
-    plan, bets = strategy.plan, strategy.bets
-    return (
-        plan.table is dist
-        and bets == _leading_l(len(bets))
-        and 1 << (dist.n - len(bets)) >= dist.support_size
-    )
-
-
-def _wins(dist: ExplicitDistribution, strategy: Strategy) -> np.ndarray:
+def _wins(dist: ExplicitDistribution, strategy: Strategy) -> np.ndarray | None:
     """Which support entries of ``dist`` the strategy wins on, in index order.
 
     Betting L on boxes 0..b-1 of the table's canonical plan wins exactly on
     the compressed indices below 2^(n-b), that is on the 2^(n-b) most likely
-    outcomes, which the plan reads off the table's levels without ranking
-    the support. Any other bet is matched through the plan's image.
+    outcomes, which the table reads off its levels: None when the winning
+    cell holds the whole support. Any other bet is matched through the
+    plan's image. Bets or a plan that do not fit the table raise.
     """
     plan, bets = strategy.plan, strategy.bets
+    if plan.n != dist.n:
+        raise ArityMismatch(f"a plan on {plan.n} boxes played on {dist.n}")
+    _check_bets(dist.n, bets)
     if plan.table is dist and bets == _leading_l(len(bets)):
-        return plan.top(1 << (dist.n - len(bets)))
+        return dist.top(1 << (dist.n - len(bets)))
     return _match_mask(plan.image(dist), dist.n, bets)
 
 
@@ -230,11 +229,8 @@ def exact_evaluate(dist: ExplicitDistribution, strategy: Strategy) -> ExactResul
     found, so the figure does not depend on it. A bet that wins on the whole
     support sums the table itself, the array an all-true mask would copy.
     """
-    _check_bets(dist.n, strategy.bets)
-    if _covers_support(dist, strategy):
-        success = float(dist.probs.sum())
-    else:
-        success = float(dist.probs[_wins(dist, strategy)].sum())
+    wins = _wins(dist, strategy)
+    success = float((dist.probs if wins is None else dist.probs[wins]).sum())
     return ExactResult(success, success * strategy.committed_work)
 
 
@@ -280,12 +276,12 @@ def monte_carlo(
     support wins every play, so nothing is drawn: each draw picks a support
     entry, and the generator is the call's own.
     """
-    _check_bets(dist.n, strategy.bets)
-    if _covers_support(dist, strategy):
-        wins = config.n_samples
+    wins = _wins(dist, strategy)
+    if wins is None:
+        hits = config.n_samples
     else:
-        wins = _draws_in(dist, _wins(dist, strategy), make_rng(config.seed), config.n_samples)
-    rate = wins / config.n_samples
+        hits = _draws_in(dist, wins, make_rng(config.seed), config.n_samples)
+    rate = hits / config.n_samples
     stderr = math.sqrt(rate * (1.0 - rate) / config.n_samples)
     return MonteCarloEstimate(
         success_rate=rate,

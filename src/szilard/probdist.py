@@ -175,6 +175,25 @@ class ExplicitDistribution:
         ``explicit_of`` sets it from the type classes instead."""
         return _table_spectrum(self.n, *np.unique(self.probs, return_counts=True))
 
+    def top(self, size: int) -> np.ndarray | None:
+        """Mask of the ``size`` most likely support entries, ties broken by
+        index, or None when that is the whole support.
+
+        Read off the levels without ranking the support: every entry above
+        the boundary level, where the cumulative count first exceeds
+        ``size``, and the first entries of that level in index order.
+        """
+        if size >= self.support_size:
+            return None
+        cum = np.cumsum(self.levels.count)
+        boundary = int(np.searchsorted(cum, size, side="right"))
+        p = self.levels.p[boundary]
+        mask = self.probs > p
+        rem = size - (int(cum[boundary - 1]) if boundary else 0)
+        if rem:
+            mask[np.flatnonzero(self.probs == p)[:rem]] = True
+        return mask
+
     @property
     def p_max(self) -> float:
         return float(self.probs.max())
@@ -316,7 +335,7 @@ def tensor(p: ExplicitDistribution, q: ExplicitDistribution) -> ExplicitDistribu
     # block layout keeps indices sorted: p-index picks the block, q-index the offset
     idx = (p.indices[:, None] << q.n | q.indices[None, :]).ravel()
     pr = (p.probs[:, None] * q.probs[None, :]).ravel()
-    return ExplicitDistribution(n, _freeze(idx), _freeze(pr))
+    return _sorted_table(n, idx, pr)
 
 
 @dataclass(frozen=True)
@@ -359,7 +378,7 @@ def mixture(
     """
     if len(weights) != len(components) or not components:
         raise WeightSumError("need one positive weight per component")
-    if any(w <= 0.0 for w in weights):
+    if not all(w > 0.0 for w in weights):  # a NaN weight fails too
         raise WeightSumError(f"weights must be positive, got {list(weights)}")
     total = math.fsum(weights)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
@@ -549,9 +568,7 @@ def sample(
     a uniformly random member of the class.
     """
     if isinstance(dist, ExplicitDistribution):
-        probs = dist.probs / dist.probs.sum()
-        i = int(rng.choice(dist.support_size, p=probs))
-        return Outcome.from_index(int(dist.indices[i]), dist.n)
+        return Outcome.from_index(int(sample_indices(dist, rng, 1)[0]), dist.n)
     view = to_type_classes(dist) if isinstance(dist, MixtureOfProducts) else dist
     masses = np.exp2(view.class_log_mass())
     masses = np.where(np.isfinite(view.class_log_prob), masses, 0.0)
@@ -565,10 +582,13 @@ def sample(
 def sample_indices(
     dist: ExplicitDistribution, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Vectorized draw of ``size`` outcome indices from an explicit table."""
+    """Vectorized draw of ``size`` outcome indices from an explicit table.
+
+    On a table of every outcome the drawn position is the index.
+    """
     probs = dist.probs / dist.probs.sum()
     picks = rng.choice(dist.support_size, size=size, p=probs)
-    return dist.indices[picks]
+    return picks if dist.support_size == 1 << dist.n else dist.indices[picks]
 
 
 def _sorted_draws(

@@ -7,7 +7,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import BadSeed
+
 
 def make_rng(seed: int) -> np.random.Generator:
     """Generator over a Philox counter-based stream keyed by ``seed``."""
+    if seed < 0:
+        raise BadSeed(f"seed {seed} is negative")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))

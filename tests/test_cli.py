@@ -375,6 +375,16 @@ def test_cli_error_envelope_missing_spec(capsys):
           "--epsilon", "0.99999999999"], "BadEpsilon"),
         (["game", "--spec", "uniform^2", "--samples", "1000000000000"], "TooLarge"),
         (["entropy", "--spec", "bernoulli(0.7)^1000000000000"], "TooLarge"),
+        (["game", "--spec", "bernoulli(0.7)^4", "--seed", "-1"], "BadSeed"),
+        (["game", "--spec", "bernoulli(0.7)^4", "--strategy", "gambler", "--bet-size", "2",
+          "--seed", "-1"], "BadSeed"),
+        (["oracle", "--spec", "bernoulli(0.7)^4", "--seed", "-1"], "BadSeed"),
+        (["work", "--spec", "uniform^2", "--temperature-kelvin", "nan"], "NonpositiveTemperature"),
+        (["work", "--spec", "uniform^2", "--temperature-kelvin", "inf"], "NonpositiveTemperature"),
+        (["game", "--spec", "uniform^2", "--temperature-kelvin", "nan"], "NonpositiveTemperature"),
+        (["game", "--spec", "uniform^2", "--temperature-kelvin", "inf"], "NonpositiveTemperature"),
+        (["table1", "--n", "10", "--temperature-kelvin", "nan"], "NonpositiveTemperature"),
+        (["table1", "--n", "10", "--temperature-kelvin", "inf"], "NonpositiveTemperature"),
     ],
 )
 def test_cli_bad_arguments_are_input_errors(argv, code, capsys):
@@ -382,6 +392,15 @@ def test_cli_bad_arguments_are_input_errors(argv, code, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["code"] == code
+
+
+def test_readme_commands_match_the_golden_stdout(capsys):
+    golden_path = Path(__file__).resolve().parent.parent / "perfbench/golden/cli_readme.json"
+    golden = json.loads(golden_path.read_text())
+    assert len(golden) == 6
+    for label, want in golden.items():
+        assert main(list(want["argv"])) == want["exit_code"], label
+        assert capsys.readouterr().out == want["stdout"], label
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -191,14 +191,16 @@ def test_top_is_the_entries_ranked_below_size(rng, kind):
             d = random_explicit(rng, n, levels=(1.0,))
         else:
             d = random_explicit(rng, n, int(rng.integers(1, min(40, 1 << n) + 1)))
-        plan = canonical_permutation(d)
-        masks = [plan.top(1 << (n - b)) for b in range(n + 1)]
-        assert "ranks" not in vars(plan)
-        for b, mask in enumerate(masks):
-            assert np.array_equal(mask, plan.ranks < (1 << (n - b)))
-        # every size, not only powers of two, and the empty mask
-        size = int(rng.integers(0, d.support_size + 2))
-        assert np.array_equal(plan.top(size), plan.ranks < size)
+        # the cells of the canonical bets, and one size in 0..k + 1 (0: the empty mask)
+        sizes = [1 << (n - b) for b in range(n + 1)] + [int(rng.integers(0, d.support_size + 2))]
+        masks = [d.top(size) for size in sizes]
+        ranks = canonical_permutation(d).ranks
+        for size, mask in zip(sizes, masks):
+            want = ranks < size
+            if mask is None:  # the whole support, and only it
+                assert want.all()
+            else:
+                assert np.array_equal(mask, want) and not want.all()
 
 
 # ---------------------------------------------------------------- profiles

@@ -33,9 +33,11 @@ from szilard import (
 from szilard import compress, entropy, game, probdist
 from szilard.compress import CompressionPlan
 from szilard.errors import (
+    ArityMismatch,
     BadBetSize,
     BadEpsilon,
     BadSampleCount,
+    BadSeed,
     InvalidBets,
     NonpositiveTemperature,
     TooLarge,
@@ -82,6 +84,11 @@ def test_work_unit_rejects_nonpositive_temperature():
         work_unit(0.0)
     with pytest.raises(NonpositiveTemperature):
         work_unit(-10.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonpositiveTemperature):
+            work_unit(bad)
+        with pytest.raises(NonpositiveTemperature):
+            GameConfig(temperature=bad)
 
 
 # -------------------------------------------------------------- risk-free
@@ -455,7 +462,10 @@ def _pick_form(d, s, config):
     """Monte Carlo with one pick per play: the sorted picks looked up in the
     win mask, as the count was first taken on the sorted stream."""
     picks = _sorted_picks(d, make_rng(config.seed), config.n_samples)
-    rate = float(game._wins(d, s)[picks].mean())
+    wins = game._wins(d, s)
+    if wins is None:  # the winning cell holds the whole support
+        wins = np.ones(d.support_size, dtype=bool)
+    rate = float(wins[picks].mean())
     return MonteCarloEstimate(
         rate, rate * s.committed_work, math.sqrt(rate * (1.0 - rate) / config.n_samples),
         config.seed, config.n_samples,
@@ -624,7 +634,7 @@ def test_bets_whose_cell_holds_the_support_score_as_the_mask_path(rng, kind):
         assert covering and covering[0] == 0
         for b in covering:
             s = Strategy(plan, tuple((p, 0) for p in range(b)), float(b))
-            assert game._covers_support(d, s)
+            assert game._wins(d, s) is None
             assert (exact_evaluate(d, s), monte_carlo(d, s, config)) == _mask_path(d, s, config)
             assert exact_evaluate(d, s).success_prob == d.total()
         # the next bet splits the support; other bets and plans are matched
@@ -632,7 +642,7 @@ def test_bets_whose_cell_holds_the_support_score_as_the_mask_path(rng, kind):
         others = [Strategy(plan, ((0, 1),), 1.0), Strategy(identity, (), 0.0)]
         if covering[-1] < d.n:
             others.append(Strategy(plan, tuple((p, 0) for p in range(covering[-1] + 1)), 0.0))
-        assert not any(game._covers_support(d, s) for s in others)
+        assert not any(game._wins(d, s) is None for s in others)
 
 
 def test_the_riskfree_game_reads_no_index_range():
@@ -643,7 +653,7 @@ def test_the_riskfree_game_reads_no_index_range():
     exact = exact_evaluate(d, s)
     mc = monte_carlo(d, s, GameConfig(epsilon=eps, seed=7))
     assert check_inequalities(d, s, exact, eps, 1.0) == []
-    assert game._covers_support(d, s) and mc.success_rate == 1.0
+    assert game._wins(d, s) is None and mc.success_rate == 1.0
     assert exact.success_prob == float(d.probs.sum())
     assert "indices" not in vars(d)
     assert np.array_equal(d.indices, np.arange(1 << 20)) and not d.indices.flags.writeable
@@ -768,4 +778,20 @@ def test_game_config_validation():
         GameConfig(n_samples=0)
     with pytest.raises(TooLarge):
         GameConfig(n_samples=10**12)
+    with pytest.raises(BadSeed):
+        GameConfig(seed=-1)
+    with pytest.raises(BadSeed):
+        make_rng(-1)
     assert GameConfig(n_samples=10**7).n_samples == 10**7
+
+
+def test_plan_and_table_must_have_the_same_box_count():
+    d = make_explicit(2, [("LL", 0.5), ("RR", 0.5)])
+    wide = CompressionPlan(3, np.arange(8)[::-1], ())
+    for plan in (wide, canonical_permutation(make_explicit(3, [("LLL", 1.0)]))):
+        for bets in ((), ((0, 0),), ((0, 0), (1, 0))):
+            s = Strategy(plan, bets, float(len(bets)))
+            with pytest.raises(ArityMismatch):
+                exact_evaluate(d, s)
+            with pytest.raises(ArityMismatch):
+                monte_carlo(d, s, GameConfig(n_samples=10))

@@ -178,6 +178,15 @@ def test_tensor_cap():
         tensor(d, d)
 
 
+def test_tensor_drops_underflowed_products():
+    a = make_explicit(1, [("L", 1 - 1e-200), ("R", 1e-200)])
+    t = tensor(a, a)  # RR underflows to 0.0
+    assert t.as_dict() == {"LL": (1 - 1e-200) ** 2, "LR": 1e-200, "RL": 1e-200}
+    with np.errstate(divide="raise", invalid="raise"):  # no log2(0) in the levels
+        assert t.support_size == 3 and h_max(t) == math.log2(3)
+        assert np.all(t.levels.p > 0.0)
+
+
 def test_entropies_additive_over_tensor(rng):
     for _ in range(20):
         p = random_explicit(rng, int(rng.integers(1, 4)))
@@ -217,6 +226,10 @@ def test_mixture_weight_errors():
         mixture([1.5, -0.5], [bernoulli_product(0.5, 2), bernoulli_product(0.7, 2)])
     with pytest.raises(MixedArity):
         mixture([0.5, 0.5], [bernoulli_product(0.5, 2), bernoulli_product(0.7, 3)])
+    # a NaN weight is neither <= 0 nor off 1 by more than the tolerance
+    for weights in ([math.nan, 1.0], [1.0, math.nan], [math.nan, math.nan]):
+        with pytest.raises(WeightSumError):
+            mixture(weights, [bernoulli_product(0.5, 4), bernoulli_product(0.7, 4)])
 
 
 # ------------------------------------------------------------ type classes
@@ -349,6 +362,8 @@ def test_tables_of_every_outcome_carry_no_index_array(rng):
             assert d.indices.dtype == np.int64 and not d.indices.flags.writeable
     a, b = explicit_of(bernoulli_product(0.7, 3)), random_explicit(rng, 2, 4)
     indexed = tensor(*(probdist.ExplicitDistribution(t.n, t.indices, t.probs) for t in (a, b)))
+    for t in (tensor(a, b), indexed):
+        assert "indices" not in vars(t) and not t.probs.flags.writeable
     assert tensor(a, b).same_table(indexed)
     assert not tensor(a, random_explicit(rng, 2, 3)).same_table(indexed)
 
@@ -577,6 +592,20 @@ def test_sample_deterministic_replay():
     assert [str(sample(d, gen1)) for _ in range(50)] == [
         str(sample(d, gen2)) for _ in range(50)
     ]
+
+
+def test_sampling_a_full_table_reads_no_index_range():
+    d = explicit_of(bernoulli_product(0.7, 22))
+    drawn = sample_indices(d, make_rng(5), 200)
+    one = sample(d, make_rng(6))
+    assert "indices" not in vars(d)
+    indexed = probdist.ExplicitDistribution(d.n, np.arange(1 << d.n), d.probs)
+    assert np.array_equal(drawn, sample_indices(indexed, make_rng(5), 200))
+    assert one == sample(indexed, make_rng(6))
+    # on a table of every outcome the drawn positions are the indices
+    probs = d.probs / d.probs.sum()
+    assert np.array_equal(drawn, make_rng(5).choice(d.support_size, size=200, p=probs))
+    assert one.index == int(make_rng(6).choice(d.support_size, p=probs))
 
 
 def test_view_sampling_matches_class_masses():
