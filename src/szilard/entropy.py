@@ -23,6 +23,15 @@ per-outcome probabilities in descending order with their multiplicities.
 views each build theirs once, as their cached ``levels``, which keeps
 i.i.d. and mixture families exact at n = 1000 and beyond and lets every
 function here take the distribution itself.
+
+Each smoothing problem is solved once per spectrum and eps: the
+spectrum-level answer (no witness) is kept in the spectrum's ``smoothed``,
+so ``smooth_report``, the work figures and the strategy builders in
+``game`` all read one solve. Explicit tables still build their witnesses
+per call. The smooth min-entropy cut is found on a prefix: the running
+log-count of the top levels is accumulated in chunks of doubling length
+only as far as the cut, not over all n + 1 levels, and since an
+accumulate is a left fold the floats are those of a full scan.
 """
 from __future__ import annotations
 
@@ -39,7 +48,8 @@ from .probdist import (
     MixtureOfProducts,
     Spectrum,
     TypeClassView,
-    _from_arrays,
+    _on_support,
+    _sorted_table,
 )
 
 Distribution = ExplicitDistribution | MixtureOfProducts | TypeClassView | Spectrum
@@ -141,6 +151,15 @@ def _int_exp2(x: float, rounding=math.floor) -> int:
     return rounding(2.0 ** (x - shift)) << shift
 
 
+def _once(solve, s: Spectrum, eps: float):
+    """``solve(s, eps)`` on the first ask; the answer is kept on the spectrum,
+    so every later figure of this spectrum at this eps reads it."""
+    key = (solve, eps)
+    if key not in s.smoothed:
+        s.smoothed[key] = solve(s, eps)
+    return s.smoothed[key]
+
+
 def h_max_smooth(dist: Distribution, eps: float) -> float:
     """H_max^eps in bits; the spectrum is passed on so no witness is built."""
     return h_max_smooth_detail(spectrum(dist), eps).bits
@@ -149,13 +168,28 @@ def h_max_smooth(dist: Distribution, eps: float) -> float:
 def h_max_smooth_detail(dist: Distribution, eps: float) -> SmoothedMax:
     """Minimal support size reachable by deleting total mass <= eps.
 
-    Deletes whole levels in ascending probability while the budget lasts,
-    then as many outcomes of the boundary level as the rest buys. The
-    witness, built for explicit tables only, deletes tied outcomes in
-    descending index order, so it keeps the table's ``top`` entries.
+    Solved once per spectrum and eps (``_solve_max``). The witness, built
+    for explicit tables only, deletes tied outcomes in descending index
+    order, so it keeps the table's ``top`` entries.
     """
     _check_epsilon(eps)
-    s = spectrum(dist)
+    result = _once(_solve_max, spectrum(dist), eps)
+    if not isinstance(dist, ExplicitDistribution):
+        return result
+    keep = dist.top(result.retained_count)
+    if keep is None:
+        return dataclasses.replace(result, witness=dist)
+    # on a table of every outcome the kept positions are the kept indices
+    kept = np.flatnonzero(keep) if dist.support_size == 1 << dist.n else dist.indices[keep]
+    return dataclasses.replace(result, witness=_sorted_table(dist.n, kept, dist.probs[keep]))
+
+
+def _solve_max(s: Spectrum, eps: float) -> SmoothedMax:
+    """H_max^eps of a spectrum, without witness.
+
+    Deletes whole levels in ascending probability while the budget lasts,
+    then as many outcomes of the boundary level as the rest buys.
+    """
     top = s.log_p.size - 1
     cum = np.cumsum(s.mass[::-1])
     # eps < 1 = total mass, so an outcome of the top level survives; the min()
@@ -174,12 +208,7 @@ def h_max_smooth_detail(dist: Distribution, eps: float) -> SmoothedMax:
     else:
         retained = int(s.count[:b].sum()) + count_b - t
         bits = math.log2(retained)
-    result = SmoothedMax(bits, removed, retained, None)
-    if not isinstance(dist, ExplicitDistribution):
-        return result
-    keep = dist.top(retained)
-    witness = dist if keep is None else _from_arrays(dist.n, dist.indices[keep], dist.probs[keep])
-    return dataclasses.replace(result, witness=witness)
+    return SmoothedMax(bits, removed, retained, None)
 
 
 def h_min_smooth(dist: Distribution, eps: float) -> float:
@@ -190,13 +219,25 @@ def h_min_smooth(dist: Distribution, eps: float) -> float:
 def h_min_smooth_detail(dist: Distribution, eps: float) -> SmoothedMin:
     """Largest min-entropy reachable by removing mass <= eps (peak shaving).
 
-    Shaving the top m levels to lam removes S_m - N_m lam, with S_m their
-    mass and N_m their outcome count, so lam = (S_m - eps) / N_m; the cut
-    is the first m whose lam is at or above level m + 1. The witness is
-    built for explicit tables only.
+    Solved once per spectrum and eps (``_solve_min``). The witness, built
+    for explicit tables only, caps every probability at the linear cut
+    level; all of them stay positive, so it keeps the table's support.
     """
     _check_epsilon(eps)
-    s = spectrum(dist)
+    result, lam = _once(_solve_min, spectrum(dist), eps)
+    if not isinstance(dist, ExplicitDistribution):
+        return result
+    probs = dist.probs if lam is None else np.minimum(dist.probs, lam)
+    return dataclasses.replace(result, witness=_on_support(dist, probs))
+
+
+def _solve_min(s: Spectrum, eps: float) -> tuple[SmoothedMin, float | None]:
+    """H_min^eps of a spectrum, without witness, and the cut level lam in
+    linear form where the witness can use it (None elsewhere).
+
+    Shaving the top m levels to lam removes S_m - N_m lam, with S_m their
+    mass and N_m their outcome count, so lam = (S_m - eps) / N_m.
+    """
     lam = None
     if eps == 0.0:
         log_lam = float(s.log_p[0])
@@ -205,9 +246,7 @@ def h_min_smooth_detail(dist: Distribution, eps: float) -> SmoothedMin:
         if eps >= prefix_mass[-1]:
             # nothing would be left to take a peak of
             raise BadEpsilon(f"epsilon {eps} removes the whole mass {float(prefix_mass[-1])!r}")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            levels = np.log2(prefix_mass - eps) - np.logaddexp2.accumulate(s.log_count)
-        m = int(np.argmax(levels >= np.append(s.log_p[1:], -np.inf))) + 1
+        m = _cut(s, prefix_mass, eps)
         slack = float(prefix_mass[m - 1]) - eps
         # a linear lam, exact below 2^53 shaved outcomes, is what the witness
         # caps the table at, so the witness peak gives back bits exactly
@@ -216,11 +255,41 @@ def h_min_smooth_detail(dist: Distribution, eps: float) -> SmoothedMin:
             log_lam = math.log2(lam)
         else:
             log_lam = math.log2(slack) - logsumexp2(s.log_count[:m])
-    result = SmoothedMin(-log_lam, CutLevel(log_lam, eps), None)
-    if not isinstance(dist, ExplicitDistribution):
-        return result
-    probs = dist.probs if lam is None else np.minimum(dist.probs, lam)
-    return dataclasses.replace(result, witness=_from_arrays(dist.n, dist.indices, probs))
+    return SmoothedMin(-log_lam, CutLevel(log_lam, eps), None), lam
+
+
+#: levels in the first chunk ``_cut`` scans; each later chunk doubles
+_CUT_CHUNK = 64
+
+
+def _cut(s: Spectrum, prefix_mass: np.ndarray, eps: float) -> int:
+    """The number m of top levels the eps shave cuts to one level.
+
+    The cut is the first m whose level log2(S_m - eps) - log2(N_m) is at
+    or above level m + 1 (the last level is above -inf, so some m is).
+    log2(N_m) is ``np.logaddexp2.accumulate`` of the log counts, which is
+    only taken as far as the cut: the levels are scanned in chunks of
+    doubling length, each chunk's accumulate started from the last value
+    of the one before. A ufunc accumulate is a left fold, so every float,
+    and with it m, is the one a single accumulate over all levels gives.
+    """
+    size = s.log_p.size
+    start, width, acc = 0, _CUT_CHUNK, None
+    while True:
+        stop = min(start + width, size)
+        counts = s.log_count[start:stop]
+        if acc is None:
+            log_n = np.logaddexp2.accumulate(counts)
+        else:
+            log_n = np.logaddexp2.accumulate(np.concatenate(([acc], counts)))[1:]
+        below = s.log_p[start + 1 : stop + 1]
+        if stop == size:
+            below = np.append(below, -np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hit = np.log2(prefix_mass[start:stop] - eps) - log_n >= below
+        if hit.any():
+            return start + int(np.argmax(hit)) + 1
+        start, width, acc = stop, 2 * width, log_n[-1]
 
 
 def smooth_report(dist: Distribution, eps: float) -> EntropyReport:

@@ -37,17 +37,21 @@ def binomials(n: int) -> tuple[np.ndarray, np.ndarray | None]:
 
     Up to EXACT_BINOMIAL_MAX_N the row is built from exact big-int
     binomials, returned as an object array of Python ints beside their
-    logs (math.log2 of a Python int is correctly rounded). Beyond that only
-    the logs from ``_log_factorials`` exist and the exact row is None.
+    logs (math.log2 of a Python int is correctly rounded). Only k <= n/2 is
+    computed; C(n, k) = C(n, n - k) mirrors it, logs included. Beyond that
+    only the logs from ``_log_factorials`` exist and the exact row is None.
     """
     if n <= EXACT_BINOMIAL_MAX_N:
         exact = np.empty(n + 1, dtype=object)
         logs = np.empty(n + 1)
+        half = n // 2
         row = 1
-        for k in range(n + 1):
+        for k in range(half + 1):
             exact[k] = row
             logs[k] = math.log2(row)
             row = row * (n - k) // (k + 1)
+        exact[n - half :] = exact[half::-1]
+        logs[n - half :] = logs[half::-1]
         return logs, exact
     lf = _log_factorials(n)
     logs = lf[n] - lf

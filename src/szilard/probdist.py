@@ -137,6 +137,13 @@ class Spectrum:
     log_count: np.ndarray
     count: np.ndarray | None
 
+    @functools.cached_property
+    def smoothed(self) -> dict:
+        """The spectrum-level answers of the smoothing solves by (solver,
+        eps), which ``entropy`` fills on first ask: every figure read from
+        the spectrum at one eps shares one solve."""
+        return {}
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class ExplicitDistribution:
@@ -256,6 +263,13 @@ def _sorted_table(n: int, indices: np.ndarray, probs: np.ndarray) -> ExplicitDis
         indices, probs = indices[keep], probs[keep]
     full = probs.size == 1 << n
     return ExplicitDistribution(n, None if full else _freeze(indices), _freeze(probs))
+
+
+def _on_support(dist: ExplicitDistribution, probs: np.ndarray) -> ExplicitDistribution:
+    """``dist``'s support with new, all positive probabilities: the indices
+    are shared, and a table of every outcome stays without its index range."""
+    full = dist.support_size == 1 << dist.n
+    return ExplicitDistribution(dist.n, None if full else dist.indices, _freeze(probs))
 
 
 def _as_index(outcome, n: int) -> int:
@@ -462,13 +476,17 @@ def to_type_classes(m: MixtureOfProducts) -> TypeClassView:
             right = np.where(ks == 0, 0.0, ks * log1mq)
         # left + right is exactly -n in every class when q = 1/2: uniform terms stay flat
         per_component[j] = math.log2(w) + (left + right)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mx = np.max(per_component, axis=0)
-        log_prob = np.where(
-            np.isfinite(mx),
-            mx + np.log2(np.sum(np.exp2(per_component - np.where(np.isfinite(mx), mx, 0.0)), axis=0)),
-            -np.inf,
-        )
+    if len(m.components) == 1:
+        # the log-sum of one term is the identity, mx + log2(exp2(0))
+        log_prob = per_component[0]
+    else:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mx = np.max(per_component, axis=0)
+            log_prob = np.where(
+                np.isfinite(mx),
+                mx + np.log2(np.sum(np.exp2(per_component - np.where(np.isfinite(mx), mx, 0.0)), axis=0)),
+                -np.inf,
+            )
     log_count, count = binomials(n)
     return TypeClassView(
         n, _freeze(log_prob), _freeze(log_count), None if count is None else _freeze(count)

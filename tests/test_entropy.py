@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 from szilard import (
     bernoulli_product,
     binary_entropy,
+    build_riskfree_strategy,
+    check_inequalities,
+    entropy,
+    exact_evaluate,
     explicit_of,
     gambler_work_bound,
     h_max,
@@ -373,3 +377,121 @@ def test_one_spectrum_per_distribution(monkeypatch):
         gambler_work_bound(m, 1e-3, 1.0)
         assert calls == [m]
         assert spectrum(m) is spectrum(m)
+
+
+def counting_solves(monkeypatch) -> list[tuple[str, float]]:
+    """Record (solver, eps) for every spectrum-level smoothing solve."""
+    calls = []
+    for name in ("_solve_max", "_solve_min"):
+        def counting(s, eps, solve=getattr(entropy, name), name=name):
+            calls.append((name, eps))
+            return solve(s, eps)
+
+        monkeypatch.setattr(entropy, name, counting)
+    return calls
+
+
+def test_one_solve_per_spectrum_and_eps(monkeypatch):
+    calls = counting_solves(monkeypatch)
+    two_term = mixture(
+        [0.4, 0.6], [bernoulli_product(0.9, 3000), bernoulli_product(0.2, 3000)]
+    )
+    one_each = [("_solve_max", 1e-3), ("_solve_min", 1e-3)]
+    for m in (bernoulli_product(0.7, 3000), two_term):
+        calls.clear()
+        smooth_report(m, 1e-3)
+        work_bounds(m, 1e-3, 1.0)
+        riskfree_work_executable(m, 1e-3, 1.0)
+        gambler_work_bound(m, 1e-3, 1.0)
+        assert sorted(calls) == one_each
+        smooth_report(m, 2e-4)  # a second eps gets its own solves
+        smooth_report(m, 1e-3)
+        assert sorted(calls) == sorted(one_each + [("_solve_max", 2e-4), ("_solve_min", 2e-4)])
+
+    d = explicit_of(bernoulli_product(0.7, 10))
+    calls.clear()
+    report = smooth_report(d, 1e-3)
+    strategy = build_riskfree_strategy(d, 1e-3, 1.0)
+    assert check_inequalities(d, strategy, exact_evaluate(d, strategy), 1e-3, 1.0) == []
+    assert sorted(calls) == one_each
+    # witnesses are built per call, from the one solve
+    first, again = h_min_smooth_detail(d, 1e-3), h_min_smooth_detail(d, 1e-3)
+    assert first.witness is not again.witness and first.bits == report.h_min_smooth
+    assert math.log2(h_max_smooth_detail(d, 1e-3).witness.support_size) == report.h_max_smooth
+    assert sorted(calls) == one_each
+
+
+def full_scan_cut(s, prefix_mass, eps) -> int:
+    """The H_min^eps cut from one accumulate over every level."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        levels = np.log2(prefix_mass - eps) - np.logaddexp2.accumulate(s.log_count)
+    return int(np.argmax(levels >= np.append(s.log_p[1:], -np.inf))) + 1
+
+
+def assert_prefix_cut_is_the_full_scan(monkeypatch, s, eps) -> int:
+    prefix_mass = np.cumsum(s.mass)
+    m = entropy._cut(s, prefix_mass, eps)
+    assert m == full_scan_cut(s, prefix_mass, eps)
+    got = entropy._solve_min(s, eps)
+    with monkeypatch.context() as patch:
+        patch.setattr(entropy, "_cut", full_scan_cut)
+        want = entropy._solve_min(s, eps)
+    assert got == want
+    assert got[0].bits.hex() == want[0].bits.hex()
+    return m
+
+
+def test_prefix_cut_is_the_full_scan_cut_bit_for_bit(monkeypatch):
+    cuts = []
+    for n in (1000, 2048, 2049, 5000, 10**4, 31623, 10**5):
+        mix = mixture([0.5, 0.5], [bernoulli_product(1.0, n), bernoulli_product(0.7, n)])
+        assert assert_prefix_cut_is_the_full_scan(monkeypatch, spectrum(mix), 1e-3) == 1
+        for q in (0.6, 0.7, 0.8):
+            s = spectrum(bernoulli_product(q, n))
+            for eps in (0.0, 1e-5, 1e-3, 1e-2):
+                cuts.append(assert_prefix_cut_is_the_full_scan(monkeypatch, s, eps))
+    # the i.i.d. cuts sit many chunks deep: 29,554 of 100,001 levels at q = 0.7, eps = 1e-3
+    assert max(cuts) > 2**8 * entropy._CUT_CHUNK
+
+
+def test_prefix_cut_on_chunk_edges_and_the_last_level(monkeypatch):
+    # 2^16 distinct levels of one outcome each: shaving the top m levels
+    # down to level m + 1 removes f(m) = S_m - m p[m], so an eps strictly
+    # between f(m - 1) and f(m) cuts at m
+    rng = np.random.default_rng(7)
+    raw = rng.exponential(size=1 << 16)
+    d = probdist._sorted_table(16, np.arange(1 << 16), raw / raw.sum())
+    s = spectrum(d)
+    assert s.p.size == 1 << 16 and "indices" not in vars(d)
+    f = np.cumsum(s.p) - np.arange(1, s.p.size + 1) * np.append(s.p[1:], 0.0)
+    chunk = entropy._CUT_CHUNK
+    edges = [chunk * (2**k - 1) for k in range(1, 8)]
+    targets = [1, 2] + [e + j for e in edges for j in (-1, 0, 1)] + [s.p.size]
+    for m in targets:
+        eps = float(f[m - 2] + f[m - 1]) / 2 if m > 1 else float(f[0]) / 2
+        assert assert_prefix_cut_is_the_full_scan(monkeypatch, s, eps) == m
+    assert assert_prefix_cut_is_the_full_scan(monkeypatch, s, 0.0) == 1
+    two = spectrum(make_explicit(1, [("L", 0.6), ("R", 0.4)]))
+    assert assert_prefix_cut_is_the_full_scan(monkeypatch, two, 0.3) == 2
+
+
+def test_witnesses_of_a_full_table_build_no_index_range(rng):
+    tables = [explicit_of(bernoulli_product(0.7, 12)), random_explicit(rng, 10, support_size=300)]
+    for d in tables:
+        full = "indices" not in vars(d)
+        solved = []
+        for eps in (0.0, 1e-3, 0.05):
+            wmax, wmin = h_max_smooth_detail(d, eps).witness, h_min_smooth_detail(d, eps).witness
+            assert ("indices" not in vars(d)) == full
+            assert ("indices" not in vars(wmin)) == full
+            solved.append((wmax, wmin, entropy._solve_min(spectrum(d), eps)[1]))
+        # equal to the witnesses built through the table's index range
+        indices = np.arange(1 << d.n) if full else d.indices
+        for wmax, wmin, lam in solved:
+            keep = d.top(wmax.support_size)
+            want_max = d if keep is None else probdist._from_arrays(d.n, indices[keep], d.probs[keep])
+            probs = d.probs if lam is None else np.minimum(d.probs, lam)
+            want_min = probdist._from_arrays(d.n, indices, probs)
+            for got, want in ((wmax, want_max), (wmin, want_min)):
+                assert np.array_equal(got.probs, want.probs)
+                assert np.array_equal(got.indices, want.indices)

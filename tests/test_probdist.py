@@ -41,7 +41,7 @@ from szilard.errors import (
     WeightSumError,
 )
 from szilard import compress, entropy, probdist
-from szilard.numerics import log2_binomials, popcount
+from szilard.numerics import binomials, log2_binomials, popcount
 from szilard.rng import make_rng
 
 from util import random_explicit, random_mixture_params
@@ -283,6 +283,14 @@ def test_log2_binomials_above_the_exact_range_match_math_comb(n):
     ks = np.unique(np.r_[0, 1, 15, 16, 17, np.linspace(0, n, 35).astype(int), n - 1, n])
     exact = np.array([math.log2(math.comb(n, int(k))) for k in ks])
     assert np.max(np.abs(logs[ks] - exact)) <= 1e-9
+
+
+def test_exact_binomial_row_is_math_comb():
+    # the row is built for k <= n/2 and mirrored
+    for n in list(range(65)) + [1000, 2047, 2048]:
+        logs, exact = binomials(n)
+        assert exact.tolist() == [math.comb(n, k) for k in range(n + 1)]
+        assert logs.tolist() == [math.log2(math.comb(n, k)) for k in range(n + 1)]
 
 
 def test_to_type_classes_refuses_huge_n():
