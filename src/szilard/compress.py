@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BiasedBitsPresent, IndexOutOfRange, SamePosition
-from .probdist import ExplicitDistribution, _from_arrays, apply_permutation
+from .probdist import ExplicitDistribution, _from_arrays, _sorted_table, apply_permutation
 
 #: |marginal(bit=1) - 1/2| below this counts as uniform (explicit-path floats)
 UNIFORMITY_TOL = 1e-12
@@ -34,23 +34,22 @@ class CompressionPlan:
     """A permutation of outcome indices and the per-box profile it leaves.
 
     A general plan is given by its dense permutation,
-    ``CompressionPlan(n, permutation, profile)``. A canonical plan holds
-    only its table. ``ranks`` (the new index of each support entry of the
-    table), the dense permutation and the profile are built the first time
-    they are read. The game reads none of them for the canonical bets: it
-    asks the table's ``top`` which entries are among the most likely ones.
+    ``CompressionPlan(n, permutation)``; it has no table to profile, so
+    reading its ``profile`` raises TypeError. A canonical plan holds only
+    its table. ``ranks`` (the new index of each support entry of the
+    table), the dense permutation and the profile (``bit_profile`` of the
+    compressed table) are built the first time they are read. The game
+    reads none of them for the canonical bets: it asks the table's ``top``
+    which entries are among the most likely ones.
     """
 
-    def __init__(self, n: int, permutation=None, profile=None, *, table=None):
+    def __init__(self, n: int, permutation=None, *, table=None):
         if permutation is None and table is None:
             raise TypeError("a plan needs a permutation or a table")
         self.n = n
         self.table = table
-        # set values shadow the lazy builders below
-        if permutation is not None:
+        if permutation is not None:  # shadows the lazy builder below
             self.permutation = permutation
-        if profile is not None:
-            self.profile = profile
 
     @functools.cached_property
     def ranks(self) -> np.ndarray:
@@ -62,7 +61,11 @@ class CompressionPlan:
 
     @functools.cached_property
     def profile(self) -> tuple[BitInfo, ...]:
-        return _canonical_profile(self.table)
+        if self.table is None:
+            raise TypeError("a plan built from a permutation has no table to profile")
+        # the compressed table: the levels, descending, on indices 0..k-1
+        levels, k = self.table.levels, self.table.support_size
+        return bit_profile(_sorted_table(self.n, np.arange(k), np.repeat(levels.p, levels.count)))
 
     def image(self, dist: ExplicitDistribution) -> np.ndarray:
         """New index of each support entry of ``dist``, in index order."""
@@ -94,26 +97,18 @@ def canonical_permutation(dist: ExplicitDistribution) -> CompressionPlan:
     Support outcomes map to indices 0..k-1 in order of non-increasing
     probability; ties and the zero-probability remainder keep their original
     index order, which makes recompression the identity. Nothing is computed
-    here: the plan builds its ranks, dense permutation and profile when a
-    caller reads them.
+    here: the plan builds its ranks (one stable sort of the probabilities),
+    dense permutation and profile when a caller reads them.
     """
     return CompressionPlan(dist.n, table=dist)
 
 
 def _canonical_ranks(dist: ExplicitDistribution) -> np.ndarray:
-    """The new index of each support entry: a stable sort of each entry's
-    level in the table's descending levels (indices ascend, so ties break by
-    index). The levels are held in the smallest unsigned type, which numpy
-    radix-sorts up to 65536 levels."""
+    """The new index of each support entry: its place in a stable sort of
+    ``-probs`` (indices ascend, so ties break by index)."""
     k = dist.support_size
-    ascending = dist.levels.p[::-1]
-    top = ascending.size - 1
-    # every probability is one of the levels, so its left insertion point is exact
-    level = np.searchsorted(ascending, dist.probs)
-    np.subtract(top, level, out=level)
-    level = level.astype(np.min_scalar_type(top))
     ranks = np.empty(k, dtype=np.int64)
-    ranks[np.argsort(level, kind="stable")] = np.arange(k)
+    ranks[np.argsort(-dist.probs, kind="stable")] = np.arange(k)
     ranks.setflags(write=False)
     return ranks
 
@@ -132,34 +127,6 @@ def _dense_permutation(dist: ExplicitDistribution, ranks: np.ndarray) -> np.ndar
     perm[dist.indices] = ranks
     perm.setflags(write=False)
     return perm
-
-
-def _canonical_profile(dist: ExplicitDistribution) -> tuple[BitInfo, ...]:
-    """The profile of the compressed table (0..k-1, probabilities descending).
-
-    A box of weight w >= k is known L, and a trailing box sums its R half
-    in the same order as ``bit_profile``.
-    """
-    n, k = dist.n, dist.support_size
-    probs = np.repeat(dist.levels.p, dist.levels.count)
-    total = probs.sum()
-    buf = np.empty(k // 2)  # no box of weight w < k reads R on more than k/2 outcomes
-    profile = []
-    for pos in range(n):
-        w = 1 << (n - 1 - pos)
-        if w >= k:
-            profile.append(BitInfo(KNOWN, 0))
-            continue
-        # the R half of every full 2w block, then the tail's R part, ascending
-        full = k - k % (2 * w)
-        rows = probs[:full].reshape(-1, 2, w)[:, 1, :]
-        tail = probs[full + w :]
-        ones = buf[: rows.size + tail.size]
-        ones[: rows.size].reshape(rows.shape)[...] = rows
-        ones[rows.size :] = tail
-        p_one = float(ones.sum() / total)
-        profile.append(BitInfo(UNIFORM if abs(p_one - 0.5) <= UNIFORMITY_TOL else BIASED))
-    return tuple(profile)
 
 
 def apply_plan(dist: ExplicitDistribution, plan: CompressionPlan) -> ExplicitDistribution:

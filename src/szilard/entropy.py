@@ -49,7 +49,7 @@ from .probdist import (
     Spectrum,
     TypeClassView,
     _on_support,
-    _sorted_table,
+    _sub_table,
 )
 
 Distribution = ExplicitDistribution | MixtureOfProducts | TypeClassView | Spectrum
@@ -177,18 +177,17 @@ def h_max_smooth_detail(dist: Distribution, eps: float) -> SmoothedMax:
     if not isinstance(dist, ExplicitDistribution):
         return result
     keep = dist.top(result.retained_count)
-    if keep is None:
-        return dataclasses.replace(result, witness=dist)
-    # on a table of every outcome the kept positions are the kept indices
-    kept = np.flatnonzero(keep) if dist.support_size == 1 << dist.n else dist.indices[keep]
-    return dataclasses.replace(result, witness=_sorted_table(dist.n, kept, dist.probs[keep]))
+    return dataclasses.replace(result, witness=dist if keep is None else _sub_table(dist, keep))
 
 
 def _solve_max(s: Spectrum, eps: float) -> SmoothedMax:
     """H_max^eps of a spectrum, without witness.
 
     Deletes whole levels in ascending probability while the budget lasts,
-    then as many outcomes of the boundary level as the rest buys.
+    then as many outcomes of the boundary level as the rest buys. That
+    count is the floor of the linear quotient rest / p wherever it is below
+    2^53, so a rest that is an exact multiple of p buys all of its
+    outcomes; above, it is taken in log form.
     """
     top = s.log_p.size - 1
     cum = np.cumsum(s.mass[::-1])
@@ -198,10 +197,17 @@ def _solve_max(s: Spectrum, eps: float) -> SmoothedMax:
     b = top - gone
     removed = float(cum[gone - 1]) if gone else 0.0
     log_p = float(s.log_p[b])
+    # the linear p of a type class is the one ``explicit_of`` gives its strings
+    p = float(s.p[b] if s.p is not None else np.exp2(log_p))
     count_b = _int_exp2(float(s.log_count[b]), round) if s.count is None else int(s.count[b])
-    t = min(_int_exp2(math.log2(eps - removed) - log_p), count_b - 1) if eps > removed else 0
-    if t:
-        removed += 2.0 ** (math.log2(t) + log_p)
+    rest, t = eps - removed, 0
+    if 0.0 < rest < p * 2**53:
+        t = min(math.floor(rest / p), count_b - 1)
+        removed += t * p
+    elif rest > 0.0:
+        t = min(_int_exp2(math.log2(rest) - log_p), count_b - 1)
+        if t:
+            removed += 2.0 ** (math.log2(t) + log_p)
     if s.count is None:
         retained = None
         bits = logsumexp2(np.append(s.log_count[:b], math.log2(count_b - t)))

@@ -272,6 +272,14 @@ def _on_support(dist: ExplicitDistribution, probs: np.ndarray) -> ExplicitDistri
     return ExplicitDistribution(dist.n, None if full else dist.indices, _freeze(probs))
 
 
+def _sub_table(dist: ExplicitDistribution, keep: np.ndarray) -> ExplicitDistribution:
+    """The entries of ``dist`` that the mask ``keep`` selects; on a table of
+    every outcome the kept positions are the kept indices, so no index
+    range is built."""
+    kept = np.flatnonzero(keep) if dist.support_size == 1 << dist.n else dist.indices[keep]
+    return _sorted_table(dist.n, kept, dist.probs[keep])
+
+
 def _as_index(outcome, n: int) -> int:
     # raw indices first: they are what large tables are built from
     if isinstance(outcome, (int, np.integer)):

@@ -201,7 +201,7 @@ def test_criterion_6_bet_count_bound():
         k = int(rng.integers(1, n + 1))
         positions = rng.choice(n, size=k, replace=False)
         bets = tuple((int(p), int(rng.integers(0, 2))) for p in sorted(positions))
-        strategy = Strategy(CompressionPlan(n, perm, ()), bets, float(k))
+        strategy = Strategy(CompressionPlan(n, perm), bets, float(k))
         success = exact_evaluate(dist, strategy).success_prob
         if success > eps:
             checked += 1
@@ -315,7 +315,7 @@ def test_criterion_10_monte_carlo_calibration():
             positions = rng.choice(n, size=k, replace=False)
             bets = tuple((int(p), int(rng.integers(0, 2))) for p in sorted(positions))
             strategy = Strategy(
-                CompressionPlan(n, rng.permutation(1 << n).astype(np.int64), ()),
+                CompressionPlan(n, rng.permutation(1 << n).astype(np.int64)),
                 bets,
                 k * C300.joules,
             )

@@ -468,6 +468,13 @@ def test_cli_hidden_oracle_command(capsys):
     assert out["brute_h_min_smooth"] <= out["greedy_h_min_smooth"] + 1e-6
 
 
+def test_cli_oracle_agrees_where_the_budget_buys_whole_outcomes(capsys):
+    # 0.625 = 5 / 8 deletes five of the eight outcomes of uniform^3
+    main(["oracle", "--spec", "uniform^3", "--epsilon", "0.625"])
+    out = json.loads(capsys.readouterr().out)
+    assert out["greedy_h_max_smooth"] == out["brute_h_max_smooth"] == 1.58496
+
+
 def test_cli_table1_json_format(capsys):
     main(["table1", "--format", "json", "--n", "100"])
     rows = json.loads(capsys.readouterr().out)

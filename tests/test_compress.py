@@ -159,23 +159,28 @@ def test_canonical_plan_holds_ranks_and_builds_the_rest_on_request(rng):
         # another table on the same boxes is relabeled through the dense permutation
         other = random_explicit(rng, d.n)
         assert np.array_equal(plan.image(other), plan.permutation[other.indices])
-        dense = CompressionPlan(d.n, plan.permutation, plan.profile)
+        dense = CompressionPlan(d.n, plan.permutation)
         assert np.array_equal(dense.image(d), plan.ranks)
-        assert dense.profile == plan.profile
     with pytest.raises(TypeError):
         CompressionPlan(3)
 
 
+def test_a_plan_built_from_a_permutation_has_no_profile():
+    plan = CompressionPlan(2, np.arange(4))
+    with pytest.raises(TypeError):
+        plan.profile
+
+
 @pytest.mark.parametrize("distinct", [1, 256, 257, 65536, 65537])
-def test_canonical_ranks_at_each_level_id_width(rng, distinct):
-    # the level ids fit uint8 up to 256 levels, uint16 up to 65536, then uint32
+def test_canonical_ranks_match_a_lexsort_at_many_levels(rng, distinct):
+    # two entries on each of 1 to 65537 levels, shuffled over the indices
     raw = np.arange(1, distinct + 1, dtype=float)
     raw = np.repeat(raw, 2)[rng.permutation(2 * distinct)]
     d = make_explicit(18, list(zip(range(raw.size), (raw / raw.sum()).tolist())))
     assert d.levels.p.size == distinct
     plan = canonical_permutation(d)
     want = np.empty(d.support_size, dtype=np.int64)
-    want[np.argsort(-d.probs, kind="stable")] = np.arange(d.support_size)
+    want[np.lexsort((d.indices, -d.probs))] = np.arange(d.support_size)
     assert np.array_equal(plan.ranks, want)
 
 

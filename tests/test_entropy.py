@@ -127,6 +127,30 @@ def test_h_max_smooth_matches_bruteforce(rng):
             assert h_max_smooth(d, eps) == brute_hmax_smooth(d, eps)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_h_max_smooth_spends_a_budget_of_whole_outcomes(n):
+    # eps = j / 2^n buys exactly j outcomes of uniform^n, as a table and as classes
+    for dist in (explicit_of(uniform_product(n)), uniform_product(n)):
+        for j in range(1 << n):
+            eps = j / (1 << n)
+            detail = h_max_smooth_detail(dist, eps)
+            assert detail.retained_count == (1 << n) - j
+            assert detail.removed_mass <= eps
+
+
+def test_h_max_smooth_matches_bruteforce_on_dyadic_tables(rng):
+    # tied multiples of 1 / 2^m, so a budget on that grid buys whole outcomes
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        units = rng.choice([1, 1, 2, 4], size=int(rng.integers(1, 1 << n)))
+        total = 1 << int(units.sum()).bit_length()
+        probs = np.append(units, total - units.sum()) / total
+        idx = rng.choice(1 << n, size=probs.size, replace=False)
+        d = make_explicit(n, list(zip(idx.tolist(), probs.tolist())))
+        for j in range(total):
+            assert h_max_smooth(d, j / total) == brute_hmax_smooth(d, j / total)
+
+
 def test_h_max_smooth_huge_epsilon_keeps_one_outcome():
     d = make_explicit(2, [("LL", 0.9), ("RR", 0.1)])
     assert h_max_smooth(d, 0.5) == 0.0

@@ -234,7 +234,7 @@ def test_exact_evaluate_matches_exhaustive_enumeration(rng):
         k = int(rng.integers(1, n + 1))
         positions = rng.choice(n, size=k, replace=False)
         bets = tuple((int(p), int(rng.integers(0, 2))) for p in sorted(positions))
-        s = Strategy(CompressionPlan(n, perm, ()), bets, k * 1.0)
+        s = Strategy(CompressionPlan(n, perm), bets, k * 1.0)
         mine = exact_evaluate(d, s)
         ref = exhaustive_game_eval(d, s)
         assert mine.success_prob == pytest.approx(ref.success_prob, abs=1e-12)
@@ -410,7 +410,7 @@ def test_monte_carlo_equals_the_draw_by_draw_reference(rng):
             positions = sorted(rng.choice(d.n, size=m, replace=False).tolist())
             bets = tuple((p, int(rng.integers(0, 2))) for p in positions)
             perm = rng.permutation(1 << d.n).astype(np.int64)
-            strategies.append(Strategy(CompressionPlan(d.n, perm, ()), bets, float(m)))
+            strategies.append(Strategy(CompressionPlan(d.n, perm), bets, float(m)))
         for s in strategies:
             assert monte_carlo(d, s, config) == _draw_by_draw(d, s, config)
             permuted = s.plan.permutation[d.indices]
@@ -638,7 +638,7 @@ def test_bets_whose_cell_holds_the_support_score_as_the_mask_path(rng, kind):
             assert (exact_evaluate(d, s), monte_carlo(d, s, config)) == _mask_path(d, s, config)
             assert exact_evaluate(d, s).success_prob == d.total()
         # the next bet splits the support; other bets and plans are matched
-        identity = CompressionPlan(d.n, np.arange(1 << d.n), ())
+        identity = CompressionPlan(d.n, np.arange(1 << d.n))
         others = [Strategy(plan, ((0, 1),), 1.0), Strategy(identity, (), 0.0)]
         if covering[-1] < d.n:
             others.append(Strategy(plan, tuple((p, 0) for p in range(covering[-1] + 1)), 0.0))
@@ -696,7 +696,7 @@ def test_bet_count_capped_by_min_entropy_margin(rng):
         k = int(rng.integers(1, n + 1))
         positions = rng.choice(n, size=k, replace=False)
         bets = tuple((int(p), int(rng.integers(0, 2))) for p in sorted(positions))
-        s = Strategy(CompressionPlan(n, perm, ()), bets, float(k))
+        s = Strategy(CompressionPlan(n, perm), bets, float(k))
         success = exact_evaluate(d, s).success_prob
         if success > eps:
             assert k < n - h_min(d) + math.log2(1.0 / eps)
@@ -787,7 +787,7 @@ def test_game_config_validation():
 
 def test_plan_and_table_must_have_the_same_box_count():
     d = make_explicit(2, [("LL", 0.5), ("RR", 0.5)])
-    wide = CompressionPlan(3, np.arange(8)[::-1], ())
+    wide = CompressionPlan(3, np.arange(8)[::-1])
     for plan in (wide, canonical_permutation(make_explicit(3, [("LLL", 1.0)]))):
         for bets in ((), ((0, 0),), ((0, 0), (1, 0))):
             s = Strategy(plan, bets, float(len(bets)))
