@@ -25,8 +25,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import entropy, game, oracle, probdist
 from .errors import ArityMismatch, BadNList, ParseError, SzilardError, WeightSumError
 from .rng import make_rng
@@ -242,57 +240,31 @@ def parse_spec(text: str):
 # ------------------------------------------------------- AST -> distribution
 
 
-def _product_left_prob(node) -> float | None:
-    """Left probability when the term is an i.i.d. product, else None."""
-    if isinstance(node, SpecBernoulli):
-        return node.q
-    if isinstance(node, SpecUniform):
-        return 0.5
-    if isinstance(node, SpecDet):
-        if all(b == 0 for b in node.bits):
-            return 1.0
-        if all(b == 1 for b in node.bits):
-            return 0.0
-    return None
-
-
-def _term_explicit(node) -> probdist.ExplicitDistribution:
-    if isinstance(node, SpecDet):
-        return probdist.point_mass(probdist.Outcome(node.bits))
+def _term(node) -> probdist.MixtureOfProducts | probdist.ExplicitDistribution:
+    """One term's distribution: an i.i.d. product family where the term is
+    one (bernoulli, uniform, an all-L or all-R det), else a table."""
     if isinstance(node, SpecExplicit):
-        n = len(node.pairs[0][0])
         return probdist.make_explicit(
-            n, [(probdist.Outcome(bits), p) for bits, p in node.pairs]
+            spec_arity(node), [(probdist.Outcome(bits), p) for bits, p in node.pairs]
         )
-    q = _product_left_prob(node)
-    return probdist.explicit_of(probdist.bernoulli_product(q, spec_arity(node)))
+    if isinstance(node, SpecDet):
+        if len(set(node.bits)) > 1:
+            return probdist.point_mass(probdist.Outcome(node.bits))
+        q = 1.0 - node.bits[0]
+    else:
+        q = node.q if isinstance(node, SpecBernoulli) else 0.5
+    return probdist.bernoulli_product(q, spec_arity(node))
 
 
 def to_distribution(node):
-    """Structured (mixture) representation when possible, else explicit."""
+    """The distribution a parsed spec denotes. A mix normalises its weights,
+    which the parser lets sum to 1 within 1e-9, and ``probdist.mixture``
+    forms it: a product family when every term is one, else a table."""
     if isinstance(node, SpecMix):
-        weights = [w for w, _ in node.terms]
-        total = math.fsum(weights)
-        weights = [w / total for w in weights]  # parser tolerates 1e-9 slack
-        lefts = [_product_left_prob(t) for _, t in node.terms]
-        if all(q is not None for q in lefts):
-            return probdist.mixture(
-                weights,
-                [probdist.bernoulli_product(q, spec_arity(node)) for q in lefts],
-            )
-        parts = [_term_explicit(t) for _, t in node.terms]
-        # bincount adds in input order, term by term, as a running sum would
-        indices, inverse = np.unique(
-            np.concatenate([part.indices for part in parts]), return_inverse=True
-        )
-        probs = np.bincount(
-            inverse, weights=np.concatenate([w * part.probs for w, part in zip(weights, parts)])
-        )
-        return probdist._from_arrays(spec_arity(node), indices, probs)
-    q = _product_left_prob(node)
-    if q is not None:
-        return probdist.bernoulli_product(q, spec_arity(node))
-    return _term_explicit(node)
+        total = math.fsum(w for w, _ in node.terms)
+        weights = [w / total for w, _ in node.terms]
+        return probdist.mixture(weights, [_term(t) for _, t in node.terms])
+    return _term(node)
 
 
 # ----------------------------------------------------------------- rendering
@@ -374,9 +346,7 @@ def cmd_game(
     bet_size: int | None,
     config: game.GameConfig,
 ) -> dict:
-    dist = to_distribution(parse_spec(spec_text))
-    if not isinstance(dist, probdist.ExplicitDistribution):
-        dist = probdist.explicit_of(dist)
+    dist = probdist.explicit_of(to_distribution(parse_spec(spec_text)))
     c = config.work_value
     if strategy_kind == "riskfree":
         strategy = game.build_riskfree_strategy(dist, config.epsilon, c)
@@ -454,9 +424,7 @@ def cmd_figure3(p: float, eps: float, n_list: list[int]) -> tuple[list[str], lis
 
 
 def cmd_oracle(spec_text: str, eps: float, seed: int) -> dict:
-    dist = to_distribution(parse_spec(spec_text))
-    if not isinstance(dist, probdist.ExplicitDistribution):
-        dist = probdist.explicit_of(dist)
+    dist = probdist.explicit_of(to_distribution(parse_spec(spec_text)))
     return {
         "n": dist.n,
         "epsilon": eps,

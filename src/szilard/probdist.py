@@ -392,11 +392,16 @@ def uniform_product(n: int) -> MixtureOfProducts:
 
 def mixture(
     weights: Sequence[float],
-    components: Sequence[MixtureOfProducts],
-) -> MixtureOfProducts:
-    """Weighted mixture of product families sharing the same box count.
+    components: Sequence[MixtureOfProducts | ExplicitDistribution],
+) -> MixtureOfProducts | ExplicitDistribution:
+    """Weighted mixture of distributions sharing the same box count: the one
+    place a mixture is formed, with the same weight and box-count checks
+    for every kind of component.
 
-    Mixing mixtures flattens: outer weights scale the inner component weights.
+    Product families flatten: outer weights scale the inner component
+    weights. With any explicit table among the components the mixture is a
+    table: product families are expanded by ``explicit_of``, and each
+    outcome's weighted probabilities are added in component order.
     """
     if len(weights) != len(components) or not components:
         raise WeightSumError("need one positive weight per component")
@@ -408,11 +413,16 @@ def mixture(
     n = components[0].n
     if any(c.n != n for c in components):
         raise MixedArity(f"components have box counts {[c.n for c in components]}")
-    flat: list[tuple[float, float]] = []
-    for w, comp in zip(weights, components):
-        for wj, qj in comp.components:
-            flat.append((float(w) * wj, qj))
-    return MixtureOfProducts(n, tuple(flat))
+    if all(isinstance(c, MixtureOfProducts) for c in components):
+        flat = ((float(w) * wj, qj) for w, c in zip(weights, components) for wj, qj in c.components)
+        return MixtureOfProducts(n, tuple(flat))
+    parts = [explicit_of(c) for c in components]
+    # bincount adds in input order, component by component, as a running sum would
+    indices, inverse = np.unique(np.concatenate([t.indices for t in parts]), return_inverse=True)
+    probs = np.bincount(
+        inverse, weights=np.concatenate([float(w) * t.probs for w, t in zip(weights, parts)])
+    )
+    return _sorted_table(n, indices, probs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -501,8 +511,11 @@ def to_type_classes(m: MixtureOfProducts) -> TypeClassView:
     )
 
 
-def explicit_of(dist: MixtureOfProducts | TypeClassView) -> ExplicitDistribution:
-    """Entrywise expansion of a structured distribution to an explicit table.
+def explicit_of(
+    dist: MixtureOfProducts | TypeClassView | ExplicitDistribution,
+) -> ExplicitDistribution:
+    """Entrywise expansion of a structured distribution to an explicit table;
+    a table is returned as it is.
 
     Per-string probabilities below the smallest positive float collapse to
     zero and drop out of the support. Both size limits are checked on
@@ -519,6 +532,8 @@ def explicit_of(dist: MixtureOfProducts | TypeClassView) -> ExplicitDistribution
     distinct probabilities are those of the classes, and each one's count
     is the sum of its classes' counts.
     """
+    if isinstance(dist, ExplicitDistribution):
+        return dist
     _check_class_limit(dist.n)
     _check_cap(dist.n)
     view = to_type_classes(dist) if isinstance(dist, MixtureOfProducts) else dist

@@ -403,6 +403,18 @@ def test_readme_commands_match_the_golden_stdout(capsys):
         assert capsys.readouterr().out == want["stdout"], label
 
 
+def test_mixture_specs_match_the_golden_stdout(capsys):
+    # mixes of explicit, det, uniform and bernoulli terms, ties and n up to 8,
+    # pinned before the explicit mixture sum moved from the CLI into probdist.mixture
+    golden = json.loads((Path(__file__).resolve().parent / "mixture_goldens.json").read_text())
+    assert len(golden) == 84
+    for label, want in golden.items():
+        assert main(list(want["argv"])) == want["exit_code"], label
+        captured = capsys.readouterr()
+        assert captured.out == want["stdout"], label
+        assert captured.err == "", label
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # n = 3000 takes its log-binomials from the Stirling row, not big-int binomials
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
