@@ -10,10 +10,15 @@ Distribution specs use a tiny grammar:
             | "explicit{" pair ("," pair)* "}"
     pair   := [LR]+ ":" number
 
+Mix weights must be positive and finite and sum to 1 within 1e-9. The
+module only parses and prints: ``probdist.mixture`` forms a mix, a product
+family when every term is one (bernoulli, uniform, an all-L or all-R det)
+and an explicit table otherwise.
+
 Commands emit JSON (stable key order) or CSV (comma separator, header row,
 Unix newlines); errors go to stderr as a JSON envelope with a stable
-``code`` field. Exit codes: 0 ok, 1 input error, 2 internal invariant
-violation.
+``code`` field. Exit codes: 0 ok, 1 input error (a bad spec or spec file,
+or a command line argparse rejects), 2 internal invariant violation.
 """
 from __future__ import annotations
 
@@ -26,7 +31,15 @@ import sys
 from dataclasses import dataclass
 
 from . import entropy, game, oracle, probdist
-from .errors import ArityMismatch, BadNList, ParseError, SzilardError, WeightSumError
+from .errors import (
+    ArityMismatch,
+    BadNList,
+    ParseError,
+    SzilardError,
+    UnreadableSpecFile,
+    UsageError,
+    WeightSumError,
+)
 from .rng import make_rng
 
 DEFAULT_EPSILON = 1e-3
@@ -214,6 +227,8 @@ class _Parser:
                 self.error("mix(...) needs at least two weighted terms")
             node = SpecMix(tuple(terms))
             weights = [w for w, _ in node.terms]
+            if not all(math.isfinite(w) for w in weights):  # fsum raises on inf - inf
+                raise WeightSumError(f"mixture weights must be finite, got {weights}")
             if abs(math.fsum(weights) - 1.0) > 1e-9:
                 raise WeightSumError(f"mixture weights sum to {math.fsum(weights)!r}")
             arities = {spec_arity(t) for _, t in node.terms}
@@ -444,8 +459,11 @@ def _read_spec(args) -> str:
     if getattr(args, "spec", None):
         return args.spec
     if getattr(args, "spec_file", None):
-        with open(args.spec_file, encoding="utf-8") as fh:
-            return fh.read().strip()
+        try:
+            with open(args.spec_file, encoding="utf-8") as fh:
+                return fh.read().strip()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UnreadableSpecFile(f"cannot read --spec-file: {exc}") from None
     raise SzilardError("one of --spec or --spec-file is required")
 
 
@@ -454,8 +472,16 @@ def _add_spec_flags(sub):
     sub.add_argument("--spec-file", help="file containing the spec text")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are input errors, reported in the JSON envelope with exit
+    code 1; subparsers are built from the same class."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="szilard",
         description="Smooth entropies and work extraction for two-state boxes.",
     )

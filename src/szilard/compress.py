@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BiasedBitsPresent, IndexOutOfRange, SamePosition
-from .probdist import ExplicitDistribution, _from_arrays, _sorted_table, apply_permutation
+from .probdist import (
+    ExplicitDistribution,
+    _as_permutation,
+    _from_arrays,
+    _sorted_table,
+    apply_permutation,
+)
 
 #: |marginal(bit=1) - 1/2| below this counts as uniform (explicit-path floats)
 UNIFORMITY_TOL = 1e-12
@@ -34,13 +40,14 @@ class CompressionPlan:
     """A permutation of outcome indices and the per-box profile it leaves.
 
     A general plan is given by its dense permutation,
-    ``CompressionPlan(n, permutation)``; it has no table to profile, so
-    reading its ``profile`` raises TypeError. A canonical plan holds only
-    its table. ``ranks`` (the new index of each support entry of the
-    table), the dense permutation and the profile (``bit_profile`` of the
-    compressed table) are built the first time they are read. The game
-    reads none of them for the canonical bets: it asks the table's ``top``
-    which entries are among the most likely ones.
+    ``CompressionPlan(n, permutation)``, which must be a bijection on the
+    2^n outcome indices (else NotBijective); it has no table to rank or
+    profile, so reading its ``ranks`` or ``profile`` raises TypeError. A
+    canonical plan holds only its table. ``ranks`` (the new index of each
+    support entry of the table), the dense permutation and the profile
+    (``bit_profile`` of the compressed table) are built the first time they
+    are read. The game reads none of them for the canonical bets: it asks
+    the table's ``top`` which entries are among the most likely ones.
     """
 
     def __init__(self, n: int, permutation=None, *, table=None):
@@ -49,11 +56,16 @@ class CompressionPlan:
         self.n = n
         self.table = table
         if permutation is not None:  # shadows the lazy builder below
-            self.permutation = permutation
+            self.permutation = _as_permutation(permutation, n)
+
+    def _own_table(self) -> ExplicitDistribution:
+        if self.table is None:
+            raise TypeError("a plan built from a permutation has no table to rank or profile")
+        return self.table
 
     @functools.cached_property
     def ranks(self) -> np.ndarray:
-        return _canonical_ranks(self.table)
+        return _canonical_ranks(self._own_table())
 
     @functools.cached_property
     def permutation(self) -> np.ndarray:
@@ -61,10 +73,9 @@ class CompressionPlan:
 
     @functools.cached_property
     def profile(self) -> tuple[BitInfo, ...]:
-        if self.table is None:
-            raise TypeError("a plan built from a permutation has no table to profile")
+        table = self._own_table()
         # the compressed table: the levels, descending, on indices 0..k-1
-        levels, k = self.table.levels, self.table.support_size
+        levels, k = table.levels, table.support_size
         return bit_profile(_sorted_table(self.n, np.arange(k), np.repeat(levels.p, levels.count)))
 
     def image(self, dist: ExplicitDistribution) -> np.ndarray:

@@ -89,6 +89,14 @@ class TooLarge(SzilardError):
     pass
 
 
+class UnreadableSpecFile(SzilardError):
+    pass
+
+
+class UsageError(SzilardError):
+    """A command line that argparse rejects: unknown command, flag or value."""
+
+
 class ParseError(SzilardError):
     """Input-spec syntax or semantic error, annotated with source position."""
 

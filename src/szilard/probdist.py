@@ -576,12 +576,17 @@ def marginal(p: ExplicitDistribution, positions: Sequence[int]) -> ExplicitDistr
     return _from_arrays(m, uniq, acc)
 
 
+def _as_permutation(permutation, n: int) -> np.ndarray:
+    """``permutation`` as int64, checked to be a bijection on the 2^n outcome indices."""
+    perm = np.asarray(permutation, dtype=np.int64)
+    if perm.shape != (1 << n,) or not np.array_equal(np.sort(perm), np.arange(1 << n)):
+        raise NotBijective(f"not a bijection on 2^{n} outcome indices")
+    return perm
+
+
 def apply_permutation(p: ExplicitDistribution, permutation: np.ndarray) -> ExplicitDistribution:
     """Relabel outcomes: new index of outcome x is permutation[x]."""
-    perm = np.asarray(permutation, dtype=np.int64)
-    if perm.shape != (1 << p.n,) or not np.array_equal(np.sort(perm), np.arange(1 << p.n)):
-        raise NotBijective(f"not a bijection on 2^{p.n} outcome indices")
-    return _from_arrays(p.n, perm[p.indices], p.probs)
+    return _from_arrays(p.n, _as_permutation(permutation, p.n)[p.indices], p.probs)
 
 
 def statistical_distance(p: ExplicitDistribution, q: ExplicitDistribution) -> float:

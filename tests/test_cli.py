@@ -385,9 +385,28 @@ def test_cli_error_envelope_missing_spec(capsys):
         (["game", "--spec", "uniform^2", "--temperature-kelvin", "inf"], "NonpositiveTemperature"),
         (["table1", "--n", "10", "--temperature-kelvin", "nan"], "NonpositiveTemperature"),
         (["table1", "--n", "10", "--temperature-kelvin", "inf"], "NonpositiveTemperature"),
+        # mix weights must be positive and finite, whatever the terms
+        (["entropy", "--spec", "mix(2: explicit{L: 1.0}, -1: det(R))"], "WeightSumError"),
+        (["game", "--spec", "mix(2: explicit{L: 1.0}, -1: det(R))"], "WeightSumError"),
+        (["entropy", "--spec", "mix(1.0: explicit{L: 1.0}, 0.0: explicit{R: 1.0})"],
+         "WeightSumError"),
+        (["entropy", "--spec", "mix(2: bernoulli(0.5)^2, -1: bernoulli(0.7)^2)"], "WeightSumError"),
+        (["entropy", "--spec", "mix(1e999: bernoulli(0.5)^2, -1e999: bernoulli(0.7)^2)"],
+         "WeightSumError"),
+        (["entropy", "--spec", "mix(1e999: explicit{L: 1.0}, -1e999: det(R))"], "WeightSumError"),
+        # a spec file that is missing, a directory, or not UTF-8
+        (["entropy", "--spec-file", "{tmp}/missing.txt"], "UnreadableSpecFile"),
+        (["entropy", "--spec-file", "{tmp}"], "UnreadableSpecFile"),
+        (["entropy", "--spec-file", "{tmp}/latin1.txt"], "UnreadableSpecFile"),
+        # command lines argparse rejects
+        (["game", "--spec", "uniform^2", "--strategy", "foo"], "UsageError"),
+        (["entropy", "--spec", "uniform^2", "--epsilon", "abc"], "UsageError"),
+        ([], "UsageError"),
     ],
 )
-def test_cli_bad_arguments_are_input_errors(argv, code, capsys):
+def test_cli_bad_arguments_are_input_errors(argv, code, tmp_path, capsys):
+    (tmp_path / "latin1.txt").write_bytes("explicit{L: 0.5, R: 0.5} \xe9".encode("latin-1"))
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

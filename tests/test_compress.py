@@ -19,7 +19,7 @@ from szilard import (
     uniform_product,
 )
 from szilard.compress import BIASED, KNOWN, UNIFORM, CompressionPlan
-from szilard.errors import BiasedBitsPresent, IndexOutOfRange, SamePosition
+from szilard.errors import BiasedBitsPresent, IndexOutOfRange, NotBijective, SamePosition
 from szilard.probdist import apply_permutation
 
 from util import random_explicit
@@ -169,6 +169,17 @@ def test_a_plan_built_from_a_permutation_has_no_profile():
     plan = CompressionPlan(2, np.arange(4))
     with pytest.raises(TypeError):
         plan.profile
+    with pytest.raises(TypeError):  # nor ranks: they belong to a table
+        plan.ranks
+
+
+@pytest.mark.parametrize(
+    "perm",
+    [[0, 0, 0, 0], [3, 2, 1], list(range(8)), [0, 1, 2, 4], [-1, 0, 1, 2], [[0, 1], [2, 3]]],
+)
+def test_a_plan_permutation_must_be_a_bijection_on_the_outcomes(perm):
+    with pytest.raises(NotBijective):
+        CompressionPlan(2, np.array(perm))
 
 
 @pytest.mark.parametrize("distinct", [1, 256, 257, 65536, 65537])

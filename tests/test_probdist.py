@@ -230,6 +230,26 @@ def test_mixture_weight_errors():
     for weights in ([math.nan, 1.0], [1.0, math.nan], [math.nan, math.nan]):
         with pytest.raises(WeightSumError):
             mixture(weights, [bernoulli_product(0.5, 4), bernoulli_product(0.7, 4)])
+    # tables, and tables beside product families, meet the same checks
+    table = make_explicit(2, [("LL", 0.5), ("RR", 0.5)])
+    for components in ([table, point_mass("LR")], [table, bernoulli_product(0.7, 2)]):
+        for weights in ([0.5, 0.4], [1.5, -0.5], [2.0, -1.0], [1.0, 0.0], [math.inf, -math.inf],
+                        [math.nan, 1.0], [1.0, math.nan], [1.0]):
+            with pytest.raises(WeightSumError):
+                mixture(weights, components)
+    with pytest.raises(MixedArity):
+        mixture([0.5, 0.5], [table, point_mass("LRL")])
+    with pytest.raises(MixedArity):
+        mixture([0.5, 0.5], [table, bernoulli_product(0.7, 3)])
+
+
+def test_mixture_with_a_table_is_a_table():
+    d = mixture([0.25, 0.75], [point_mass("LR"), uniform_product(2)])
+    assert d.as_dict() == {"LL": 0.1875, "LR": 0.4375, "RL": 0.1875, "RR": 0.1875}
+    # product families alone stay a product family, flattened
+    m = mixture([0.25, 0.75], [uniform_product(2), mixture([0.5, 0.5], [uniform_product(2)] * 2)])
+    assert m.components == ((0.25, 0.5), (0.375, 0.5), (0.375, 0.5))
+    assert explicit_of(d) is d
 
 
 # ------------------------------------------------------------ type classes
