@@ -265,7 +265,7 @@ def _term(node) -> probdist.MixtureOfProducts | probdist.ExplicitDistribution:
     if isinstance(node, SpecDet):
         if len(set(node.bits)) > 1:
             return probdist.point_mass(probdist.Outcome(node.bits))
-        q = 1.0 - node.bits[0]
+        q = 1.0 if node.bits[0] == 0 else 0.0
     else:
         q = node.q if isinstance(node, SpecBernoulli) else 0.5
     return probdist.bernoulli_product(q, spec_arity(node))

@@ -423,8 +423,8 @@ def test_readme_commands_match_the_golden_stdout(capsys):
 
 
 def test_mixture_specs_match_the_golden_stdout(capsys):
-    # mixes of explicit, det, uniform and bernoulli terms, ties and n up to 8,
-    # pinned before the explicit mixture sum moved from the CLI into probdist.mixture
+    # mixes of explicit, det, uniform and bernoulli terms, ties and n up to 8:
+    # every printed figure of a table mixture is pinned byte for byte
     golden = json.loads((Path(__file__).resolve().parent / "mixture_goldens.json").read_text())
     assert len(golden) == 84
     for label, want in golden.items():
