@@ -256,8 +256,7 @@ def parse_spec(text: str):
 
 
 def _term(node) -> probdist.MixtureOfProducts | probdist.ExplicitDistribution:
-    """One term's distribution: an i.i.d. product family where the term is
-    one (bernoulli, uniform, an all-L or all-R det), else a table."""
+    """One term's distribution: a product family where the term is one, else a table."""
     if isinstance(node, SpecExplicit):
         return probdist.make_explicit(
             spec_arity(node), [(probdist.Outcome(bits), p) for bits, p in node.pairs]
@@ -265,16 +264,13 @@ def _term(node) -> probdist.MixtureOfProducts | probdist.ExplicitDistribution:
     if isinstance(node, SpecDet):
         if len(set(node.bits)) > 1:
             return probdist.point_mass(probdist.Outcome(node.bits))
-        q = 1.0 if node.bits[0] == 0 else 0.0
-    else:
-        q = node.q if isinstance(node, SpecBernoulli) else 0.5
-    return probdist.bernoulli_product(q, spec_arity(node))
+        return probdist.bernoulli_product(1.0 if node.bits[0] == 0 else 0.0, len(node.bits))
+    return probdist.bernoulli_product(node.q if isinstance(node, SpecBernoulli) else 0.5, node.n)
 
 
 def to_distribution(node):
-    """The distribution a parsed spec denotes. A mix normalises its weights,
-    which the parser lets sum to 1 within 1e-9, and ``probdist.mixture``
-    forms it: a product family when every term is one, else a table."""
+    """The distribution a parsed spec denotes; ``probdist.mixture`` forms a mix
+    from its weights, normalised as the parser lets them sum to 1 within 1e-9."""
     if isinstance(node, SpecMix):
         total = math.fsum(w for w, _ in node.terms)
         weights = [w / total for w, _ in node.terms]

@@ -394,14 +394,11 @@ def mixture(
     weights: Sequence[float],
     components: Sequence[MixtureOfProducts | ExplicitDistribution],
 ) -> MixtureOfProducts | ExplicitDistribution:
-    """Weighted mixture of distributions sharing the same box count: the one
-    place a mixture is formed, with the same weight and box-count checks
-    for every kind of component.
-
-    Product families flatten: outer weights scale the inner component
-    weights. With any explicit table among the components the mixture is a
-    table: product families are expanded by ``explicit_of``, and each
-    outcome's weighted probabilities are added in component order.
+    """Weighted mixture of distributions on one box count: the one place a
+    mixture is formed, with one set of weight and box-count checks. Product
+    families alone flatten (outer weights scale the inner ones); with any
+    table among the components, each outcome's weighted probabilities in
+    the components' tables are added in component order.
     """
     if len(weights) != len(components) or not components:
         raise WeightSumError("need one positive weight per component")
@@ -416,13 +413,20 @@ def mixture(
     if all(isinstance(c, MixtureOfProducts) for c in components):
         flat = ((float(w) * wj, qj) for w, c in zip(weights, components) for wj, qj in c.components)
         return MixtureOfProducts(n, tuple(flat))
-    parts = [explicit_of(c) for c in components]
+    parts = [_as_table(c) for c in components]
     # bincount adds in input order, component by component, as a running sum would
     indices, inverse = np.unique(np.concatenate([t.indices for t in parts]), return_inverse=True)
-    probs = np.bincount(
-        inverse, weights=np.concatenate([float(w) * t.probs for w, t in zip(weights, parts)])
-    )
-    return _sorted_table(n, indices, probs)
+    weighted = np.concatenate([float(w) * t.probs for w, t in zip(weights, parts)])
+    return _sorted_table(n, indices, np.bincount(inverse, weights=weighted))
+
+
+def _as_table(dist: MixtureOfProducts | ExplicitDistribution) -> ExplicitDistribution:
+    """A mixture component as a table; a family of point masses (left
+    probabilities 0 or 1) is its all-L and all-R strings, not 2^n entries."""
+    if isinstance(dist, MixtureOfProducts) and all(q in (0.0, 1.0) for _, q in dist.components):
+        ends = [point_mass(("L" if q else "R") * dist.n) for _, q in dist.components]
+        return mixture([w for w, _ in dist.components], ends)
+    return explicit_of(dist)
 
 
 @dataclass(frozen=True, eq=False)
@@ -577,8 +581,12 @@ def marginal(p: ExplicitDistribution, positions: Sequence[int]) -> ExplicitDistr
 
 
 def _as_permutation(permutation, n: int) -> np.ndarray:
-    """``permutation`` as int64, checked to be a bijection on the 2^n outcome indices."""
-    perm = np.asarray(permutation, dtype=np.int64)
+    """``permutation``, an integer array, as int64, checked to be a bijection
+    on the 2^n outcome indices."""
+    perm = np.asarray(permutation)
+    if not np.issubdtype(perm.dtype, np.integer):  # a cast would truncate floats
+        raise NotBijective(f"permutation entries are {perm.dtype}, not integers")
+    perm = perm.astype(np.int64, copy=False)
     if perm.shape != (1 << n,) or not np.array_equal(np.sort(perm), np.arange(1 << n)):
         raise NotBijective(f"not a bijection on 2^{n} outcome indices")
     return perm

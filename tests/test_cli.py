@@ -423,10 +423,11 @@ def test_readme_commands_match_the_golden_stdout(capsys):
 
 
 def test_mixture_specs_match_the_golden_stdout(capsys):
-    # mixes of explicit, det, uniform and bernoulli terms, ties and n up to 8:
-    # every printed figure of a table mixture is pinned byte for byte
+    # mixes of explicit, det, uniform and bernoulli terms, ties and n up to 8,
+    # and an all-L det in a 30-box mix, which takes no 2^30 expansion: every
+    # printed figure of a table mixture is pinned byte for byte
     golden = json.loads((Path(__file__).resolve().parent / "mixture_goldens.json").read_text())
-    assert len(golden) == 84
+    assert len(golden) == 88
     for label, want in golden.items():
         assert main(list(want["argv"])) == want["exit_code"], label
         captured = capsys.readouterr()

@@ -175,7 +175,15 @@ def test_a_plan_built_from_a_permutation_has_no_profile():
 
 @pytest.mark.parametrize(
     "perm",
-    [[0, 0, 0, 0], [3, 2, 1], list(range(8)), [0, 1, 2, 4], [-1, 0, 1, 2], [[0, 1], [2, 3]]],
+    [
+        [0, 0, 0, 0],
+        [3, 2, 1],
+        list(range(8)),
+        [0, 1, 2, 4],
+        [-1, 0, 1, 2],
+        [[0, 1], [2, 3]],
+        [0.5, 1.9, 2.2, 3.0],  # truncates to the identity
+    ],
 )
 def test_a_plan_permutation_must_be_a_bijection_on_the_outcomes(perm):
     with pytest.raises(NotBijective):

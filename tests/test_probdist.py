@@ -250,6 +250,16 @@ def test_mixture_with_a_table_is_a_table():
     m = mixture([0.25, 0.75], [uniform_product(2), mixture([0.5, 0.5], [uniform_product(2)] * 2)])
     assert m.components == ((0.25, 0.5), (0.375, 0.5), (0.375, 0.5))
     assert explicit_of(d) is d
+    # all-L and all-R product families add one entry each, far above the 2^24 cap
+    for n in (3, 40, 63):
+        alt = point_mass(("LR" * n)[:n])
+        d = mixture([0.25, 0.25, 0.5], [bernoulli_product(1.0, n), bernoulli_product(0.0, n), alt])
+        assert d.indices.tolist() == [0, alt.indices[0], (1 << n) - 1]
+        assert d.probs.tolist() == [0.25, 0.5, 0.25]
+    family = mixture([0.5, 0.5], [bernoulli_product(1.0, 30), bernoulli_product(1.0, 30)])
+    d = mixture([0.5, 0.5], [family, point_mass("R" * 30)])
+    assert d.indices.tolist() == [0, (1 << 30) - 1]
+    assert d.probs.tolist() == [0.5, 0.5]
 
 
 # ------------------------------------------------------------ type classes
