@@ -28,10 +28,12 @@ Each smoothing problem is solved once per spectrum and eps: the
 spectrum-level answer (no witness) is kept in the spectrum's ``smoothed``,
 so ``smooth_report``, the work figures and the strategy builders in
 ``game`` all read one solve. Explicit tables still build their witnesses
-per call. The smooth min-entropy cut is found on a prefix: the running
-log-count of the top levels is accumulated in chunks of doubling length
-only as far as the cut, not over all n + 1 levels, and since an
-accumulate is a left fold the floats are those of a full scan.
+per call. The smooth min-entropy cut is found on a prefix: no cut falls
+before the first level whose prefix mass exceeds eps, so the running
+log-count of the levels before it is one ``reduce``, and from there it is
+accumulated in chunks of doubling length only as far as the cut, not
+over all n + 1 levels. A reduce and an accumulate are the same left fold,
+so the floats are those of a full scan.
 """
 from __future__ import annotations
 
@@ -273,14 +275,20 @@ def _cut(s: Spectrum, prefix_mass: np.ndarray, eps: float) -> int:
 
     The cut is the first m whose level log2(S_m - eps) - log2(N_m) is at
     or above level m + 1 (the last level is above -inf, so some m is).
-    log2(N_m) is ``np.logaddexp2.accumulate`` of the log counts, which is
-    only taken as far as the cut: the levels are scanned in chunks of
-    doubling length, each chunk's accumulate started from the last value
-    of the one before. A ufunc accumulate is a left fold, so every float,
-    and with it m, is the one a single accumulate over all levels gives.
+    No m with S_m <= eps qualifies, since log2 of S_m - eps is -inf or nan
+    there, so the scan starts at the first level whose prefix mass exceeds
+    eps. log2(N_m) is ``np.logaddexp2.accumulate`` of the log counts, which
+    is only taken from there as far as the cut: the levels before the start
+    are folded by ``np.logaddexp2.reduce``, and the rest scanned in chunks
+    of doubling length, each chunk's accumulate started from the last value
+    before it. A ufunc reduce and accumulate are the same left fold, so
+    every float, and with it m, is the one a single accumulate over all
+    levels gives.
     """
     size = s.log_p.size
-    start, width, acc = 0, _CUT_CHUNK, None
+    start = int(np.searchsorted(prefix_mass, eps, side="right"))
+    width = _CUT_CHUNK
+    acc = np.logaddexp2.reduce(s.log_count[:start]) if start else None
     while True:
         stop = min(start + width, size)
         counts = s.log_count[start:stop]

@@ -243,7 +243,9 @@ def _spectrum(n: int, *arrays: np.ndarray | None) -> Spectrum:
 
 def _table_spectrum(n: int, p: np.ndarray, count: np.ndarray) -> Spectrum:
     """An explicit table's spectrum from its distinct probabilities in
-    ascending order and their counts, as ``np.unique`` returns them."""
+    ascending order, contiguous, and their counts, as ``np.unique`` returns
+    them. The logs are taken of the reversed view: numpy's log2 can round a
+    reversed view differently from contiguous memory, in the last bit."""
     p, count = p[::-1], count[::-1].astype(np.int64)
     return _spectrum(n, p, np.log2(p), p * count, np.log2(count), count)
 
@@ -346,7 +348,11 @@ def make_explicit(n: int, entries: Iterable[tuple[object, float]]) -> ExplicitDi
 
 
 def point_mass(outcome: Outcome | str) -> ExplicitDistribution:
+    """The distribution that holds ``outcome`` with certainty; its index
+    must fit int64, as every table's indices do (SupportOverflow)."""
     o = outcome if isinstance(outcome, Outcome) else Outcome.from_string(outcome)
+    if o.index >= 1 << 63:
+        raise SupportOverflow(f"outcome index of {o} on {o.n} boxes does not fit int64")
     return _from_arrays(o.n, np.array([o.index]), np.array([1.0]))
 
 
@@ -455,7 +461,23 @@ class TypeClassView:
     @functools.cached_property
     def levels(self) -> Spectrum:
         """Support classes sorted by per-string probability; classes of
-        equal probability share one level."""
+        equal probability share one level.
+
+        Where the support classes are one run whose probabilities are
+        strictly monotone in k, as for one i.i.d. component, that run or its
+        reverse is the order, and it has no ties: no argsort, no gather and
+        no tie merge. Ties (q = 1/2) and mixtures whose probabilities turn
+        are argsorted, and equal classes merged. Every array is contiguous,
+        as a gather leaves it: numpy's exp2 and log2 can round a reversed
+        view differently from contiguous memory.
+        """
+        run = _monotone_run(self.class_log_prob, self.support_classes())
+        if run is not None:
+            log_p, log_count, count = (
+                None if a is None else np.ascontiguousarray(a[run])
+                for a in (self.class_log_prob, self.class_log_count, self.class_count)
+            )
+            return _spectrum(self.n, None, log_p, np.exp2(log_p + log_count), log_count, count)
         sup = np.flatnonzero(self.support_classes())
         order = sup[np.argsort(-self.class_log_prob[sup], kind="stable")]
         log_p, log_count = self.class_log_prob[order], self.class_log_count[order]
@@ -474,6 +496,25 @@ class TypeClassView:
         return _spectrum(self.n, None, log_p, np.exp2(log_p + log_count), log_count, count)
 
 
+def _monotone_run(values: np.ndarray, support: np.ndarray) -> slice | None:
+    """The slice that lists the ``support`` entries of ``values`` in
+    descending order of value, when they are one run of consecutive entries
+    strictly monotone in value (and so without ties); None otherwise."""
+    if support.all():
+        lo, hi = 0, support.size
+    else:
+        sup = np.flatnonzero(support)
+        if not sup.size or sup[-1] - sup[0] + 1 != sup.size:
+            return None
+        lo, hi = int(sup[0]), int(sup[-1]) + 1
+    run = values[lo:hi]
+    if (run[1:] < run[:-1]).all():
+        return slice(lo, hi)
+    if (run[1:] > run[:-1]).all():
+        return slice(hi - 1, lo - 1 if lo else None, -1)
+    return None
+
+
 def _check_class_limit(n: int):
     if n > 10**7:  # the class arrays take about 85 bytes per box
         raise TooLarge(f"{n} boxes exceed the type-class limit of 10**7")
@@ -482,37 +523,55 @@ def _check_class_limit(n: int):
 def to_type_classes(m: MixtureOfProducts) -> TypeClassView:
     """Aggregate a mixture over Hamming-weight classes, in log2 space.
 
-    Degenerate components (q in {0, 1}) contribute -inf per-string log
-    probabilities outside their single feasible class; the 0 * log 0
-    convention applies to the k = 0 and k = n exponents.
+    A spread component (0 < q < 1) gives class k the per-string log2 mass
+    log2 w + ((n - k) log2 q + k log2(1 - q)). A point mass (q in {0, 1})
+    is finite in one class only (k = n for q = 0, k = 0 for q = 1), where
+    it is log2 w exactly, so it builds no row. A class with two or more
+    finite components takes their log-sum, added in component order; a
+    class with one takes that term as it is, which is what the log-sum
+    gives it (mx + log2(exp2(0)) = mx); a class with none is -inf.
     """
     n = m.n
     _check_class_limit(n)
     ks = np.arange(n + 1, dtype=float)
-    per_component = np.full((len(m.components), n + 1), -np.inf)
-    for j, (w, q) in enumerate(m.components):
-        logq = math.log2(q) if q > 0.0 else -math.inf
-        log1mq = math.log2(1.0 - q) if q < 1.0 else -math.inf
-        with np.errstate(invalid="ignore"):
-            left = np.where(ks == n, 0.0, (n - ks) * logq)
-            right = np.where(ks == 0, 0.0, ks * log1mq)
-        # left + right is exactly -n in every class when q = 1/2: uniform terms stay flat
-        per_component[j] = math.log2(w) + (left + right)
-    if len(m.components) == 1:
-        # the log-sum of one term is the identity, mx + log2(exp2(0))
-        log_prob = per_component[0]
-    else:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mx = np.max(per_component, axis=0)
-            log_prob = np.where(
-                np.isfinite(mx),
-                mx + np.log2(np.sum(np.exp2(per_component - np.where(np.isfinite(mx), mx, 0.0)), axis=0)),
-                -np.inf,
-            )
+    # per component, in order: (None, its row) or (its class, [log2 w])
+    terms = []
+    for w, q in m.components:
+        if q == 0.0 or q == 1.0:
+            terms.append((0 if q else n, np.array([math.log2(w)])))
+        else:
+            # 0 * log2 q at k = n (and 0 * log2(1 - q) at k = 0) is -0.0 where the
+            # 0 log 0 convention has 0.0, but the other term there is nonzero or
+            # +0.0, so the sum is the same; at q = 1/2 it is exactly -n in every
+            # class, so uniform terms stay flat
+            row = (n - ks) * math.log2(q)
+            row += ks * math.log2(1.0 - q)
+            row += math.log2(w)
+            terms.append((None, row))
+    rows = [row for k, row in terms if k is None]
+    log_prob = _log_sum(rows) if rows else np.full(n + 1, -np.inf)
+    for end in {0, n}:
+        if any(k == end for k, _ in terms):
+            here = [row if k == end else row[end : end + 1] for k, row in terms if k in (None, end)]
+            log_prob[end] = _log_sum(here)[0]
     log_count, count = binomials(n)
     return TypeClassView(
         n, _freeze(log_prob), _freeze(log_count), None if count is None else _freeze(count)
     )
+
+
+def _log_sum(parts: list[np.ndarray]) -> np.ndarray:
+    """log2 of the sum of 2**part over the equal-length, everywhere finite
+    parts: the largest term plus log2 of the sum of 2**(part - largest),
+    added in part order as numpy's axis-0 sum adds the rows of their stack.
+    One part is returned as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    mx = functools.reduce(np.maximum, parts)
+    total = np.exp2(parts[0] - mx)
+    for part in parts[1:]:
+        total += np.exp2(part - mx)
+    return mx + np.log2(total)
 
 
 def explicit_of(
@@ -534,7 +593,9 @@ def explicit_of(
     Where the exact class counts are known, the table's ``levels`` come
     from the n + 1 class probabilities, so the table is never sorted: its
     distinct probabilities are those of the classes, and each one's count
-    is the sum of its classes' counts.
+    is the sum of its classes' counts. Positive class probabilities that
+    are strictly monotone in k are distinct and already in order, so they
+    are read as they are; others go through ``np.unique``.
     """
     if isinstance(dist, ExplicitDistribution):
         return dist
@@ -555,9 +616,13 @@ def explicit_of(
         keep = probs > 0.0
         table = ExplicitDistribution(view.n, _freeze(np.flatnonzero(keep)), _freeze(probs[keep]))
     if view.class_count is not None:
-        p, level = np.unique(class_p[support], return_inverse=True)
-        count = np.zeros(p.size, dtype=np.int64)
-        np.add.at(count, level, view.class_count[support].astype(np.int64))
+        run = _monotone_run(class_p, support)
+        if run is None:
+            p, level = np.unique(class_p[support], return_inverse=True)
+            count = np.zeros(p.size, dtype=np.int64)
+            np.add.at(count, level, view.class_count[support].astype(np.int64))
+        else:
+            p, count = np.ascontiguousarray(class_p[run][::-1]), view.class_count[run][::-1]
         vars(table)["levels"] = _table_spectrum(view.n, p, count)
     return table
 

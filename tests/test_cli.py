@@ -394,6 +394,12 @@ def test_cli_error_envelope_missing_spec(capsys):
         (["entropy", "--spec", "mix(1e999: bernoulli(0.5)^2, -1e999: bernoulli(0.7)^2)"],
          "WeightSumError"),
         (["entropy", "--spec", "mix(1e999: explicit{L: 1.0}, -1e999: det(R))"], "WeightSumError"),
+        # an outcome index must fit int64: det(R L...L) on 64 and 70 boxes
+        (["entropy", "--spec", f"mix(0.5: det(R{'L' * 63}), 0.5: det({'L' * 63}R))"],
+         "SupportOverflow"),
+        (["entropy", "--spec", f"mix(0.5: det(R{'L' * 69}), 0.5: det({'L' * 69}R))"],
+         "SupportOverflow"),
+        (["game", "--spec", f"det(R{'L' * 69})"], "SupportOverflow"),
         # a spec file that is missing, a directory, or not UTF-8
         (["entropy", "--spec-file", "{tmp}/missing.txt"], "UnreadableSpecFile"),
         (["entropy", "--spec-file", "{tmp}"], "UnreadableSpecFile"),

@@ -443,15 +443,20 @@ def test_game_on_an_explicit_table_builds_no_dense_permutation(monkeypatch):
     work_bounds(d, 1e-3, 1.0)
     assert sorts == []  # the table took its levels from its type classes
     assert "permutation" not in vars(s.plan) and "ranks" not in vars(s.plan)
-    # a gambler op on a fresh table: only its n + 1 class probabilities are
-    # sorted, and no ranks are built either
-    g_table = explicit_of(bernoulli_product(0.6, 11))
-    g = build_gambler_strategy(g_table, 4, 1.0)
-    g_exact = exact_evaluate(g_table, g)
-    monte_carlo(g_table, g, GameConfig(seed=6, n_samples=20_000))
-    assert check_inequalities(g_table, g, g_exact, 1e-3, 1.0) == []
-    assert sorts and max(sorts) <= 11 + 1
-    assert "permutation" not in vars(g.plan) and "ranks" not in vars(g.plan)
+    # a gambler op on a fresh table: class probabilities monotone in k are
+    # read in order and nothing is sorted; classes whose probabilities turn
+    # (a U-shaped mixture) are sorted, but only their n + 1 values; no ranks
+    # are built either way
+    turning = mixture([0.5, 0.5], [bernoulli_product(0.3, 11), bernoulli_product(0.8, 11)])
+    for source, sorted_classes in ((bernoulli_product(0.6, 11), False), (turning, True)):
+        sorts.clear()
+        g_table = explicit_of(source)
+        g = build_gambler_strategy(g_table, 4, 1.0)
+        g_exact = exact_evaluate(g_table, g)
+        monte_carlo(g_table, g, GameConfig(seed=6, n_samples=20_000))
+        assert check_inequalities(g_table, g, g_exact, 1e-3, 1.0) == []
+        assert bool(sorts) == sorted_classes and max(sorts, default=0) <= 11 + 1
+        assert "permutation" not in vars(g.plan) and "ranks" not in vars(g.plan)
     monkeypatch.setattr(compress, "_dense_permutation", dense)
     # the lazily built relabeling is the one the ranks describe
     assert np.array_equal(s.plan.permutation[d.indices], s.plan.ranks)

@@ -262,6 +262,14 @@ def test_mixture_with_a_table_is_a_table():
     assert d.probs.tolist() == [0.5, 0.5]
 
 
+def test_point_mass_index_must_fit_int64():
+    top = point_mass("L" + "R" * 63)  # 2^63 - 1, the largest int64
+    assert top.indices.tolist() == [2**63 - 1] and top.probs.tolist() == [1.0]
+    for text in ("R" + "L" * 63, "R" * 64, "R" + "L" * 69):
+        with pytest.raises(SupportOverflow):
+            point_mass(text)
+
+
 # ------------------------------------------------------------ type classes
 
 

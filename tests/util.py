@@ -1,9 +1,13 @@
-"""Shared generators for randomized tests."""
+"""Shared generators and reference implementations for randomized tests."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
-from szilard import ExplicitDistribution, make_explicit
+from szilard import ExplicitDistribution, MixtureOfProducts, TypeClassView, make_explicit
+from szilard.numerics import binomials
+from szilard.probdist import Spectrum
 
 
 def random_explicit(
@@ -35,3 +39,93 @@ def random_mixture_params(rng: np.random.Generator, n: int, max_components: int 
     weights = (raw / raw.sum()).tolist()
     lefts = rng.uniform(0.05, 0.95, size=j).tolist()
     return weights, lefts
+
+
+# ----------------------------------------------- class-path reference builds
+#
+# The type-class path as it was before it learned to skip work whose answer
+# it already knows: every component as a full row, one log-sum over the
+# stacked (J, n + 1) array, an argsort of the support classes with a tie
+# merge, an ``np.unique`` of the class probabilities for ``explicit_of``, and
+# a smooth min-entropy cut scanned from the first level. The library must
+# give the same floats, bit for bit.
+
+
+def reference_type_classes(m: MixtureOfProducts) -> TypeClassView:
+    """``to_type_classes`` with one guarded row per component and one
+    log-sum over all of them."""
+    n = m.n
+    ks = np.arange(n + 1, dtype=float)
+    per_component = np.full((len(m.components), n + 1), -np.inf)
+    for j, (w, q) in enumerate(m.components):
+        logq = math.log2(q) if q > 0.0 else -math.inf
+        log1mq = math.log2(1.0 - q) if q < 1.0 else -math.inf
+        with np.errstate(invalid="ignore"):
+            left = np.where(ks == n, 0.0, (n - ks) * logq)
+            right = np.where(ks == 0, 0.0, ks * log1mq)
+        per_component[j] = math.log2(w) + (left + right)
+    if len(m.components) == 1:
+        log_prob = per_component[0]
+    else:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mx = np.max(per_component, axis=0)
+            safe = np.where(np.isfinite(mx), mx, 0.0)
+            log_prob = np.where(
+                np.isfinite(mx),
+                mx + np.log2(np.sum(np.exp2(per_component - safe), axis=0)),
+                -np.inf,
+            )
+    log_count, count = binomials(n)
+    return TypeClassView(n, log_prob, log_count, count)
+
+
+def reference_levels(view: TypeClassView) -> Spectrum:
+    """``TypeClassView.levels`` by argsort and tie merge, whatever the order."""
+    sup = np.flatnonzero(view.support_classes())
+    order = sup[np.argsort(-view.class_log_prob[sup], kind="stable")]
+    log_p, log_count = view.class_log_prob[order], view.class_log_count[order]
+    count = None if view.class_count is None else view.class_count[order]
+    starts = np.flatnonzero(np.diff(log_p, prepend=np.inf))
+    if starts.size < log_p.size:
+        top = np.maximum.reduceat(log_count, starts)
+        spread = np.repeat(top, np.diff(starts, append=log_p.size))
+        log_count = top + np.log2(np.add.reduceat(np.exp2(log_count - spread), starts))
+        if count is not None:
+            count = np.add.reduceat(count, starts)
+        elif starts.size == 1 and log_p.size == view.n + 1:
+            count = np.array([1 << view.n], dtype=object)
+        log_p = log_p[starts]
+    return Spectrum(view.n, None, log_p, np.exp2(log_p + log_count), log_count, count)
+
+
+def reference_table_levels(view: TypeClassView) -> Spectrum:
+    """The spectrum ``explicit_of`` gives its table, by ``np.unique`` of the
+    positive class probabilities and ``np.add.at`` of their counts."""
+    class_p = np.exp2(view.class_log_prob)
+    support = class_p > 0.0
+    p, level = np.unique(class_p[support], return_inverse=True)
+    count = np.zeros(p.size, dtype=np.int64)
+    np.add.at(count, level, view.class_count[support].astype(np.int64))
+    p, count = p[::-1], count[::-1].astype(np.int64)
+    return Spectrum(view.n, p, np.log2(p), p * count, np.log2(count), count)
+
+
+def reference_cut(s: Spectrum, prefix_mass: np.ndarray, eps: float) -> int:
+    """``entropy._cut`` scanning its doubling chunks from the first level."""
+    size = s.log_p.size
+    start, width, acc = 0, 64, None
+    while True:
+        stop = min(start + width, size)
+        counts = s.log_count[start:stop]
+        if acc is None:
+            log_n = np.logaddexp2.accumulate(counts)
+        else:
+            log_n = np.logaddexp2.accumulate(np.concatenate(([acc], counts)))[1:]
+        below = s.log_p[start + 1 : stop + 1]
+        if stop == size:
+            below = np.append(below, -np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hit = np.log2(prefix_mass[start:stop] - eps) - log_n >= below
+        if hit.any():
+            return start + int(np.argmax(hit)) + 1
+        start, width, acc = stop, 2 * width, log_n[-1]
