@@ -471,14 +471,15 @@ class TypeClassView:
         as a gather leaves it: numpy's exp2 and log2 can round a reversed
         view differently from contiguous memory.
         """
-        run = _monotone_run(self.class_log_prob, self.support_classes())
+        support = self.support_classes()
+        run = _monotone_run(self.class_log_prob, support)
         if run is not None:
             log_p, log_count, count = (
                 None if a is None else np.ascontiguousarray(a[run])
                 for a in (self.class_log_prob, self.class_log_count, self.class_count)
             )
             return _spectrum(self.n, None, log_p, np.exp2(log_p + log_count), log_count, count)
-        sup = np.flatnonzero(self.support_classes())
+        sup = np.flatnonzero(support)
         order = sup[np.argsort(-self.class_log_prob[sup], kind="stable")]
         log_p, log_count = self.class_log_prob[order], self.class_log_count[order]
         count = None if self.class_count is None else self.class_count[order]
@@ -551,6 +552,7 @@ def to_type_classes(m: MixtureOfProducts) -> TypeClassView:
     rows = [row for k, row in terms if k is None]
     log_prob = _log_sum(rows) if rows else np.full(n + 1, -np.inf)
     for end in {0, n}:
+        # a point mass in an end class joins the spread rows' terms there, in component order
         if any(k == end for k, _ in terms):
             here = [row if k == end else row[end : end + 1] for k, row in terms if k in (None, end)]
             log_prob[end] = _log_sum(here)[0]
