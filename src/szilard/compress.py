@@ -17,6 +17,7 @@ from .errors import BiasedBitsPresent, IndexOutOfRange, SamePosition
 from .probdist import (
     ExplicitDistribution,
     _as_permutation,
+    _check_cap,
     _from_arrays,
     _sorted_table,
     apply_permutation,
@@ -46,8 +47,11 @@ class CompressionPlan:
     canonical plan holds only its table. ``ranks`` (the new index of each
     support entry of the table), the dense permutation and the profile
     (``bit_profile`` of the compressed table) are built the first time they
-    are read. The game reads none of them for the canonical bets: it asks
-    the table's ``top`` which entries are among the most likely ones.
+    are read. Reading the dense permutation, which ``image`` of another
+    table and ``apply_plan`` do, raises SupportOverflow when 2^n exceeds
+    DEFAULT_EXPLICIT_CAP. The game reads none of them for the canonical
+    bets: it asks the table's ``top`` which entries are among the most
+    likely ones.
     """
 
     def __init__(self, n: int, permutation=None, *, table=None):
@@ -69,6 +73,7 @@ class CompressionPlan:
 
     @functools.cached_property
     def permutation(self) -> np.ndarray:
+        _check_cap(self.n)  # SupportOverflow before any 2^n array over the cap
         return _dense_permutation(self.table, self.ranks)
 
     @functools.cached_property

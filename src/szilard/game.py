@@ -89,7 +89,7 @@ class GameConfig:
             raise BadSeed(f"seed {self.seed} is negative")
         if self.n_samples < 1:
             raise BadSampleCount(f"need at least one Monte Carlo sample, got {self.n_samples}")
-        if self.n_samples > 10**7:  # Monte Carlo holds about 40 bytes per play
+        if self.n_samples > 10**7:  # Monte Carlo holds about 17 bytes per play
             raise TooLarge(f"{self.n_samples} Monte Carlo samples exceed 10**7")
 
     @property
@@ -268,13 +268,12 @@ def monte_carlo(
     match. Results are a pure function of (distribution, strategy, seed,
     n_samples), so replay is exact. The plays are the draws of
     ``sample_indices``, and the wins are those landing in the win mask
-    ``exact_evaluate`` sums. They are counted without one pick per play
-    where the support has at most n_samples entries (hits per entry from
-    the sorted uniforms), and from the sorted picks where it is larger;
-    either way the count is the number of matching draws, so the rate is
-    the one matching the draws in order gives. A bet that wins on the whole
-    support wins every play, so nothing is drawn: each draw picks a support
-    entry, and the generator is the call's own.
+    ``exact_evaluate`` sums. They are counted from the sorted uniforms and
+    the cdf at the mask's edges, the entries where it flips, so no
+    support-sized cdf is held; the count is the number of matching draws,
+    so the rate is the one matching the draws in order gives. A bet that
+    wins on the whole support wins every play, so nothing is drawn: each
+    draw picks a support entry, and the generator is the call's own.
     """
     wins = _wins(dist, strategy)
     if wins is None:

@@ -712,31 +712,15 @@ def sample_indices(
     return picks if dist.support_size == 1 << dist.n else dist.indices[picks]
 
 
-def _sorted_draws(
-    dist: ExplicitDistribution, rng: np.random.Generator, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The cdf numpy's ``choice`` searches and the uniforms it draws, sorted.
-
-    ``choice(k, size, p=p)`` is ``cdf.searchsorted(rng.random(size),
-    side="right")`` over ``cdf = cumsum(p); cdf /= cdf[-1]``, so a draw u
-    picks entry i exactly when cdf[i-1] <= u < cdf[i]. cdf[-1] is exactly
-    1.0, above every uniform. The generator ends where ``choice`` leaves it.
-    """
-    cdf = dist.probs / dist.probs.sum()
-    np.cumsum(cdf, out=cdf)
-    cdf /= cdf[-1]
-    u = rng.random(size)
-    u.sort()
-    return cdf, u
+#: support entries ``_draws_in`` folds into the running cdf at a time
+_CHUNK = 1 << 16
 
 
-def _sorted_picks(dist: ExplicitDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
-    """The support positions ``sample_indices`` would draw, in ascending order.
-
-    With sorted keys the search walks the cdf once instead of jumping about it.
-    """
-    cdf, u = _sorted_draws(dist, rng, size)
-    return cdf.searchsorted(u, side="right")
+def _flips(mask: np.ndarray, start: int) -> np.ndarray:
+    """Whether ``mask`` changes from entry i to entry i + 1, for each i in
+    the chunk at ``start``; the last entry has no next one."""
+    stop = min(start + _CHUNK, mask.size - 1)
+    return mask[start:stop] != mask[start + 1 : stop + 1]
 
 
 def _draws_in(
@@ -745,15 +729,46 @@ def _draws_in(
     """How many of the ``size`` draws of ``sample_indices`` land on the
     support entries ``mask`` selects.
 
-    The shorter sorted array is searched in the longer one. On a support of
-    at most ``size`` entries each cdf entry is searched among the uniforms:
-    the draws below cdf[i] less those below cdf[i-1] are the hits on entry i
-    (none on a cdf plateau), and every draw lands on some entry. On a larger
-    support each uniform is searched in the cdf, as in ``_sorted_picks``.
-    The count is the same integer either way.
+    ``choice(k, size, p=p)`` is ``cdf.searchsorted(rng.random(size),
+    side="right")`` over ``cdf = cumsum(p); cdf /= cdf[-1]``, so a draw u
+    picks entry i exactly when cdf[i-1] <= u < cdf[i]; cdf[-1] is exactly
+    1.0, above every uniform. A draw's win state therefore changes only
+    where u passes an edge: a cdf[i] with ``mask[i] != mask[i+1]``. The
+    edges are counted from the mask, so that they fill one array. The cdf
+    is then built ``_CHUNK`` entries at a time, each chunk's cumsum carried
+    on from the last, which is the same left fold as one cumsum, and only
+    the edges are kept; they are divided by the last running sum at the
+    end, so each is the float the whole cdf would hold there.
+
+    The shorter sorted array is searched in the longer one. With at most
+    ``size`` edges they cut the sorted uniforms into runs that alternate
+    between win and loss, starting with ``mask[0]``; with more, a draw wins
+    when the number of edges at or below it is even and ``mask[0]`` holds,
+    or odd and it does not. The count is the same integer either way, and
+    the generator ends where ``sample_indices`` leaves it.
     """
-    cdf, u = _sorted_draws(dist, rng, size)
-    if cdf.size <= size:
-        hits = np.diff(u.searchsorted(cdf, side="left"), prepend=0)
-        return int(hits[mask].sum())
-    return int(np.count_nonzero(mask[cdf.searchsorted(u, side="right")]))
+    probs = dist.probs
+    total, k = probs.sum(), probs.size
+    starts = range(0, k, _CHUNK)
+    edges = np.empty(sum(np.count_nonzero(_flips(mask, start)) for start in starts))
+    buf = np.empty(min(_CHUNK, k))
+    running, kept = 0.0, 0
+    for start in starts:
+        chunk = buf[: min(_CHUNK, k - start)]
+        np.divide(probs[start : start + chunk.size], total, out=chunk)
+        chunk[0] += running
+        np.cumsum(chunk, out=chunk)
+        flips = _flips(mask, start)
+        at_edges = chunk[: flips.size][flips]
+        edges[kept : kept + at_edges.size] = at_edges
+        kept += at_edges.size
+        running = chunk[-1]
+    edges /= running
+    u = rng.random(size)
+    u.sort()
+    if edges.size <= size:
+        runs = np.diff(u.searchsorted(edges, side="left"), prepend=0, append=size)
+        return int(runs[0 if mask[0] else 1 :: 2].sum())
+    odd = edges.searchsorted(u, side="right")
+    odd &= 1
+    return int(np.count_nonzero(odd != mask[0]))

@@ -13,13 +13,21 @@ from szilard import (
     explicit_of,
     h_max,
     make_explicit,
+    point_mass,
     riskfree_work,
     shannon,
     smooth_report,
     uniform_product,
 )
-from szilard.compress import BIASED, KNOWN, UNIFORM, CompressionPlan
-from szilard.errors import BiasedBitsPresent, IndexOutOfRange, NotBijective, SamePosition
+from szilard import compress
+from szilard.compress import BIASED, KNOWN, UNIFORM, BitInfo, CompressionPlan
+from szilard.errors import (
+    BiasedBitsPresent,
+    IndexOutOfRange,
+    NotBijective,
+    SamePosition,
+    SupportOverflow,
+)
 from szilard.probdist import apply_permutation
 
 from util import random_explicit
@@ -163,6 +171,27 @@ def test_canonical_plan_holds_ranks_and_builds_the_rest_on_request(rng):
         assert np.array_equal(dense.image(d), plan.ranks)
     with pytest.raises(TypeError):
         CompressionPlan(3)
+
+
+@pytest.mark.parametrize("n", [25, 40])
+def test_a_dense_permutation_over_the_cap_is_refused_before_it_is_built(monkeypatch, n):
+    def refuse(*args):
+        raise AssertionError("no 2^n array may be built over the cap")
+
+    monkeypatch.setattr(compress, "_dense_permutation", refuse)
+    d = point_mass("L" * n)
+    plan = canonical_permutation(d)
+    for read in (
+        lambda: plan.permutation,
+        lambda: plan.image(point_mass("R" * n)),
+        lambda: apply_plan(d, plan),
+    ):
+        with pytest.raises(SupportOverflow):
+            read()
+    assert not {"ranks", "permutation"} & set(vars(plan))
+    # the plan's own table is still relabeled by its ranks
+    assert plan.image(d).tolist() == [0]
+    assert plan.profile == tuple(BitInfo(KNOWN, 0) for _ in range(n))
 
 
 def test_a_plan_built_from_a_permutation_has_no_profile():

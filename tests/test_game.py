@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,11 +49,11 @@ from szilard.game import (
     check_inequalities,
     riskfree_bet_count,
 )
-from szilard.probdist import _sorted_picks, sample_indices
+from szilard.probdist import sample_indices
 from szilard.rng import make_rng
 from szilard.oracle import exhaustive_gambler_search, exhaustive_game_eval
 
-from util import random_explicit
+from util import random_explicit, sorted_draws, sorted_picks
 
 C300_J = 2.870978885078724e-21
 C300_EV = 0.0179192407638041
@@ -466,7 +467,7 @@ def test_game_on_an_explicit_table_builds_no_dense_permutation(monkeypatch):
 def _pick_form(d, s, config):
     """Monte Carlo with one pick per play: the sorted picks looked up in the
     win mask, as the count was first taken on the sorted stream."""
-    picks = _sorted_picks(d, make_rng(config.seed), config.n_samples)
+    picks = sorted_picks(d, make_rng(config.seed), config.n_samples)
     wins = game._wins(d, s)
     if wins is None:  # the winning cell holds the whole support
         wins = np.ones(d.support_size, dtype=bool)
@@ -500,6 +501,10 @@ def test_monte_carlo_counts_alike_on_either_side_of_the_sample_count(rng, size):
 
 
 def test_draws_in_a_mask_are_the_picks_in_it(rng):
+    _check_draws_in_masks(rng)
+
+
+def _check_draws_in_masks(rng):
     plateau = [0.25, 5e-324, 0.25, 1e-323, 5e-324, 0.25, 5e-324, 0.25]
     tables = [
         point_mass("LR"),
@@ -520,7 +525,7 @@ def test_draws_in_a_mask_are_the_picks_in_it(rng):
                 gen_a, gen_b = make_rng(seed), make_rng(seed)
                 wins = probdist._draws_in(d, mask, gen_a, size)
                 assert type(wins) is int
-                assert wins == int(mask[_sorted_picks(d, gen_b, size)].sum())
+                assert wins == int(mask[sorted_picks(d, gen_b, size)].sum())
                 assert gen_a.random() == gen_b.random()
             assert probdist._draws_in(d, masks[0], make_rng(1), size) == size
             assert probdist._draws_in(d, masks[1], make_rng(1), size) == 0
@@ -537,17 +542,62 @@ class _FixedUniforms:
 
 
 def test_draws_on_a_cdf_entry_pick_the_next_entry():
+    _check_draws_on_cdf_entries()
+
+
+def _check_draws_on_cdf_entries():
     # cdf = [0.25, 0.5, 1.0]; a draw equal to cdf[i] picks entry i + 1
     d = make_explicit(2, [("LL", 0.25), ("LR", 0.25), ("RL", 0.5)])
     u = [0.5, 0.25, 0.0, 0.75, 0.25, 0.49999999999999994]
-    for size in (len(u), 2):  # k = 3 entries: hits per entry, then one pick per play
-        assert _sorted_picks(d, _FixedUniforms(u), size).tolist() == sorted(
+    for size in (len(u), 2, 1):  # at most 2 edges: runs, then a search per play
+        assert sorted_picks(d, _FixedUniforms(u), size).tolist() == sorted(
             [2, 1, 0, 2, 1, 1][:size]
         )
         for bits in range(8):
             mask = np.array([bits >> i & 1 for i in range(3)], dtype=bool)
-            picks = _sorted_picks(d, _FixedUniforms(u), size)
+            picks = sorted_picks(d, _FixedUniforms(u), size)
             assert probdist._draws_in(d, mask, _FixedUniforms(u), size) == mask[picks].sum()
+    # ten entries of 0.1 run to 0.9999999999999999, so the normalized cdf
+    # and the running sum differ in the last place: a draw between the two
+    # counts as the normalized cdf picks it
+    d = make_explicit(4, [(i, 0.1) for i in range(10)])
+    cdf, _ = sorted_draws(d, _FixedUniforms([]), 0)
+    u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
+    u = np.random.default_rng(0).permutation(u[u < 1.0])
+    for size in (u.size, 4):  # at most as many edges as plays, then more
+        picks = sorted_picks(d, _FixedUniforms(u), size)
+        for bits in range(1 << 10):
+            mask = np.array([bits >> i & 1 for i in range(10)], dtype=bool)
+            assert probdist._draws_in(d, mask, _FixedUniforms(u), size) == mask[picks].sum()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_draws_in_count_alike_across_chunk_boundaries(monkeypatch, rng, chunk):
+    # chunk boundaries fall on mask flips and inside the 5e-324 plateaus
+    monkeypatch.setattr(probdist, "_CHUNK", chunk)
+    _check_draws_in_masks(rng)
+    _check_draws_on_cdf_entries()
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_holds_no_support_sized_cdf():
+    d = explicit_of(bernoulli_product(0.7, 20))
+    s = build_gambler_strategy(d, 10, 1.0)  # wins on part of the support
+    assert game._wins(d, s) is not None
+    assert _peak_bytes(lambda: monte_carlo(d, s, GameConfig(seed=1))) < d.probs.nbytes / 2
+    # a mask that flips at every entry has an edge at each: held once, not twice
+    d = explicit_of(uniform_product(20))
+    mask = np.arange(d.support_size) % 2 == 0
+    peak = _peak_bytes(lambda: probdist._draws_in(d, mask, make_rng(1), 100_000))
+    assert peak < 1.5 * d.probs.nbytes
 
 
 def test_monte_carlo_on_plateaus_and_sparse_tables(rng):
@@ -569,7 +619,7 @@ def _rank_path(d, s, config):
     """Exact success and Monte Carlo matched through the plan's ranks."""
     ranks = s.plan.ranks
     success = float(d.probs[game._match_mask(ranks, d.n, s.bets)].sum())
-    picks = _sorted_picks(d, make_rng(config.seed), config.n_samples)
+    picks = sorted_picks(d, make_rng(config.seed), config.n_samples)
     rate = float(game._match_mask(ranks[picks], d.n, s.bets).mean())
     mc = MonteCarloEstimate(
         rate, rate * s.committed_work, math.sqrt(rate * (1.0 - rate) / config.n_samples),

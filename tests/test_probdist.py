@@ -44,7 +44,7 @@ from szilard import compress, entropy, probdist
 from szilard.numerics import binomials, log2_binomials, popcount
 from szilard.rng import make_rng
 
-from util import random_explicit, random_mixture_params
+from util import random_explicit, random_mixture_params, sorted_picks
 
 
 # ---------------------------------------------------------------- outcomes
@@ -697,7 +697,7 @@ def test_sorted_picks_are_the_sampled_entries_in_order(rng):
         for seed in (3, 4):
             for size in (1, 7, 2000, 20_000):
                 gen_a, gen_b = make_rng(seed), make_rng(seed)
-                picks = probdist._sorted_picks(d, gen_a, size)
+                picks = sorted_picks(d, gen_a, size)
                 draws = sample_indices(d, gen_b, size)
                 assert np.array_equal(d.indices[picks], np.sort(draws))
                 # the generator is left where sample_indices leaves it

@@ -32,6 +32,32 @@ def random_explicit(
     return make_explicit(n, list(zip(idx.tolist(), probs.tolist())))
 
 
+def sorted_draws(
+    dist: ExplicitDistribution, rng: np.random.Generator, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cdf numpy's ``choice`` searches and the uniforms it draws, sorted.
+
+    ``choice(k, size, p=p)`` is ``cdf.searchsorted(rng.random(size),
+    side="right")`` over ``cdf = cumsum(p); cdf /= cdf[-1]``, so a draw u
+    picks entry i exactly when cdf[i-1] <= u < cdf[i]. cdf[-1] is exactly
+    1.0, above every uniform. The generator ends where ``choice`` leaves it.
+    """
+    cdf = dist.probs / dist.probs.sum()
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    u.sort()
+    return cdf, u
+
+
+def sorted_picks(dist: ExplicitDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
+    """The support positions ``sample_indices`` would draw, in ascending
+    order: the reference ``probdist._draws_in`` is checked against, one
+    pick per play on the whole cdf."""
+    cdf, u = sorted_draws(dist, rng, size)
+    return cdf.searchsorted(u, side="right")
+
+
 def random_mixture_params(rng: np.random.Generator, n: int, max_components: int = 3):
     """Random (weights, left_probs) for a MixtureOfProducts on n boxes."""
     j = int(rng.integers(1, max_components + 1))
