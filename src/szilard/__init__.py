@@ -59,7 +59,6 @@ from .game import (
 from .probdist import (
     DEFAULT_EXPLICIT_CAP,
     ExplicitDistribution,
-    LogProb,
     MixtureOfProducts,
     Outcome,
     TypeClassView,

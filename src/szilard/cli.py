@@ -375,9 +375,7 @@ def cmd_game(
         "strategy": {
             "kind": strategy_kind,
             "bets": [{"position": p, "guess": "LR"[v]} for p, v in strategy.bets],
-            "committed_work": _work_dict(
-                game.Work.from_bits(len(strategy.bets), c)
-            ),
+            "committed_work": _work_dict(game.Work.from_bits(strategy.bet_count, c)),
         },
         "exact": {
             "success_prob": _sig6(exact.success_prob),

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import BiasedBitsPresent, IndexOutOfRange, SamePosition
 from .probdist import (
     ExplicitDistribution,
-    _as_permutation,
     _check_cap,
     _from_arrays,
     _sorted_table,
@@ -38,56 +37,32 @@ class BitInfo:
 
 
 class CompressionPlan:
-    """A permutation of outcome indices and the per-box profile it leaves.
-
-    A general plan is given by its dense permutation,
-    ``CompressionPlan(n, permutation)``, which must be a bijection on the
-    2^n outcome indices (else NotBijective); it has no table to rank or
-    profile, so reading its ``ranks`` or ``profile`` raises TypeError. A
-    canonical plan holds only its table. ``ranks`` (the new index of each
-    support entry of the table), the dense permutation and the profile
-    (``bit_profile`` of the compressed table) are built the first time they
-    are read. Reading the dense permutation, which ``image`` of another
-    table and ``apply_plan`` do, raises SupportOverflow when 2^n exceeds
-    DEFAULT_EXPLICIT_CAP. The game reads none of them for the canonical
-    bets: it asks the table's ``top`` which entries are among the most
-    likely ones.
+    """The probability-sorting relabeling of one table: ``ranks`` (the new
+    index of each support entry), the dense permutation of all 2^n indices
+    (SupportOverflow over DEFAULT_EXPLICIT_CAP) and the profile
+    (``bit_profile`` of the compressed table), each built on first read.
+    The game reads none of them, and other relabelings are played by
+    ``oracle.relabeled_game_eval``.
     """
 
-    def __init__(self, n: int, permutation=None, *, table=None):
-        if permutation is None and table is None:
-            raise TypeError("a plan needs a permutation or a table")
-        self.n = n
+    def __init__(self, table: ExplicitDistribution):
         self.table = table
-        if permutation is not None:  # shadows the lazy builder below
-            self.permutation = _as_permutation(permutation, n)
-
-    def _own_table(self) -> ExplicitDistribution:
-        if self.table is None:
-            raise TypeError("a plan built from a permutation has no table to rank or profile")
-        return self.table
 
     @functools.cached_property
     def ranks(self) -> np.ndarray:
-        return _canonical_ranks(self._own_table())
+        return _canonical_ranks(self.table)
 
     @functools.cached_property
     def permutation(self) -> np.ndarray:
-        _check_cap(self.n)  # SupportOverflow before any 2^n array over the cap
+        _check_cap(self.table.n)  # SupportOverflow before any 2^n array over the cap
         return _dense_permutation(self.table, self.ranks)
 
     @functools.cached_property
     def profile(self) -> tuple[BitInfo, ...]:
-        table = self._own_table()
+        table = self.table
         # the compressed table: the levels, descending, on indices 0..k-1
         levels, k = table.levels, table.support_size
-        return bit_profile(_sorted_table(self.n, np.arange(k), np.repeat(levels.p, levels.count)))
-
-    def image(self, dist: ExplicitDistribution) -> np.ndarray:
-        """New index of each support entry of ``dist``, in index order."""
-        if dist is self.table:
-            return self.ranks
-        return self.permutation[dist.indices]
+        return bit_profile(_sorted_table(table.n, np.arange(k), np.repeat(levels.p, levels.count)))
 
 
 def bit_profile(dist: ExplicitDistribution) -> tuple[BitInfo, ...]:
@@ -116,7 +91,7 @@ def canonical_permutation(dist: ExplicitDistribution) -> CompressionPlan:
     here: the plan builds its ranks (one stable sort of the probabilities),
     dense permutation and profile when a caller reads them.
     """
-    return CompressionPlan(dist.n, table=dist)
+    return CompressionPlan(dist)
 
 
 def _canonical_ranks(dist: ExplicitDistribution) -> np.ndarray:

@@ -1,10 +1,11 @@
 """The work-extraction game and its two enveloping bounds.
 
 An agent holding n boxes of work value c = kT ln 2 presets, in advance of
-any extraction: a permutation of the outcome space, the set of boxes to
-couple to the weight together with a guessed content for each, and the
-weight itself (here quantized as |bets| * c). Extraction succeeds, paying
-the committed work, exactly when every guessed box reads as guessed.
+any extraction, the canonical bet: compress the table (sort its outcomes by
+descending probability), guess L on its leading b boxes and commit the
+weight b * c. Extraction succeeds, paying the committed work, exactly when
+every guessed box reads L, that is on the 2^(n-b) most likely outcomes.
+Other relabelings and bets are played by ``oracle.relabeled_game_eval``.
 
 Two closed-form figures envelope all risk preferences:
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compress import CompressionPlan, canonical_permutation
+from .compress import canonical_permutation
 from .entropy import (
     Distribution,
     binary_entropy,
@@ -34,7 +35,6 @@ from .entropy import (
     spectrum,
 )
 from .errors import (
-    ArityMismatch,
     BadBetSize,
     BadEpsilon,
     BadSampleCount,
@@ -99,11 +99,24 @@ class GameConfig:
 
 @dataclass(frozen=True)
 class Strategy:
-    """Preset plan, bet set and committed weight; immutable once built."""
+    """Compress ``table``, bet L on boxes 0..bet_count-1 and commit the
+    weight; ``bets`` and ``plan`` are derived, and only ``table`` is played."""
 
-    plan: CompressionPlan
-    bets: tuple[tuple[int, int], ...]  # (box position, guessed content)
-    committed_work: float  # joules, equals |bets| * c
+    table: ExplicitDistribution
+    bet_count: int
+    committed_work: float  # joules, equals bet_count * c
+
+    def __post_init__(self):
+        if not 0 <= self.bet_count <= self.table.n:
+            raise BadBetSize(f"bet count {self.bet_count} outside [0, {self.table.n}]")
+
+    @property
+    def bets(self) -> tuple[tuple[int, int], ...]:
+        return tuple((pos, 0) for pos in range(self.bet_count))  # (box position, guess)
+
+    @property
+    def plan(self):  # the table's canonical compress.CompressionPlan
+        return canonical_permutation(self.table)
 
 
 @dataclass(frozen=True)
@@ -178,55 +191,23 @@ def work_bounds(dist: Distribution, eps: float, c: float) -> WorkBounds:
     )
 
 
-def _check_bets(n: int, bets: tuple[tuple[int, int], ...]):
-    positions = [b[0] for b in bets]
-    if len(set(positions)) != len(positions):
-        raise InvalidBets(f"duplicate bet positions in {bets}")
-    for pos, val in bets:
-        if not 0 <= pos < n:
-            raise InvalidBets(f"bet position {pos} outside [0, {n})")
-        if val not in (0, 1):
-            raise InvalidBets(f"bet value {val} is not 0/1")
-
-
-def _leading_l(count: int) -> tuple[tuple[int, int], ...]:
-    """The canonical bet: L on boxes 0..count-1."""
-    return tuple((pos, 0) for pos in range(count))
-
-
-def _match_mask(indices: np.ndarray, n: int, bets) -> np.ndarray:
-    mask = want = 0
-    for pos, val in bets:
-        mask |= 1 << (n - 1 - pos)
-        want |= val << (n - 1 - pos)
-    return (indices & mask) == want
-
-
 def _wins(dist: ExplicitDistribution, strategy: Strategy) -> np.ndarray | None:
-    """Which support entries of ``dist`` the strategy wins on, in index order.
-
-    Betting L on boxes 0..b-1 of the table's canonical plan wins exactly on
-    the compressed indices below 2^(n-b), that is on the 2^(n-b) most likely
-    outcomes, which the table reads off its levels: None when the winning
-    cell holds the whole support. Any other bet is matched through the
-    plan's image. Bets or a plan that do not fit the table raise.
+    """Which support entries of ``dist`` the strategy wins on, in index order:
+    L on boxes 0..b-1 of the compressed table wins on the 2^(n-b) most likely
+    outcomes, which the table reads off its levels (None when that is the
+    whole support). A strategy is played only on its own table (InvalidBets).
     """
-    plan, bets = strategy.plan, strategy.bets
-    if plan.n != dist.n:
-        raise ArityMismatch(f"a plan on {plan.n} boxes played on {dist.n}")
-    _check_bets(dist.n, bets)
-    if plan.table is dist and bets == _leading_l(len(bets)):
-        return dist.top(1 << (dist.n - len(bets)))
-    return _match_mask(plan.image(dist), dist.n, bets)
+    if strategy.table is not dist:
+        raise InvalidBets("a strategy is played only on the table it was built for")
+    return dist.top(1 << (dist.n - strategy.bet_count))
 
 
 def exact_evaluate(dist: ExplicitDistribution, strategy: Strategy) -> ExactResult:
     """Success probability of a strategy and the work it earns in expectation.
 
-    Success is the post-permutation marginal probability of the guessed
+    Success is the post-compression marginal probability of the guessed
     assignment on the bet positions; failure pays nothing. The winning
-    probabilities are summed in index order, whichever way the wins are
-    found, so the figure does not depend on it. A bet that wins on the whole
+    probabilities are summed in index order. A bet that wins on the whole
     support sums the table itself, the array an all-true mask would copy.
     """
     wins = _wins(dist, strategy)
@@ -241,9 +222,8 @@ def build_riskfree_strategy(dist: ExplicitDistribution, eps: float, c: float) ->
     2^ceil(log2 k) after compression, so the leading n - ceil(log2 k) boxes
     read L unless a deleted (total mass <= eps) outcome occurred.
     """
-    plan = canonical_permutation(dist)
     bet_count = riskfree_bet_count(dist, eps)
-    return Strategy(plan, _leading_l(bet_count), bet_count * c)
+    return Strategy(dist, bet_count, bet_count * c)
 
 
 def build_gambler_strategy(dist: ExplicitDistribution, m: int, c: float) -> Strategy:
@@ -256,7 +236,7 @@ def build_gambler_strategy(dist: ExplicitDistribution, m: int, c: float) -> Stra
     """
     if not 1 <= m <= dist.n:
         raise BadBetSize(f"bet size {m} outside [1, {dist.n}]")
-    return Strategy(canonical_permutation(dist), _leading_l(m), m * c)
+    return Strategy(dist, m, m * c)
 
 
 def monte_carlo(
@@ -310,9 +290,9 @@ def check_inequalities(
             )
     if eps > 0.0 and exact.success_prob > eps:
         cap = dist.n - h_min(dist) + math.log2(1.0 / eps)
-        if not len(strategy.bets) < cap:
+        if not strategy.bet_count < cap:
             violations.append(
-                f"{len(strategy.bets)} bets succeed with p={exact.success_prob:.6g} "
+                f"{strategy.bet_count} bets succeed with p={exact.success_prob:.6g} "
                 f"> eps but reach the marginal-peak cap {cap:.6g}"
             )
         # the winning cell holds at most eps + 2^(n-b) 2^(-H_min^eps)
@@ -320,9 +300,9 @@ def check_inequalities(
             bounds.max_work.bits - math.log2(1.0 / eps)
             + math.log2(1.0 / (exact.success_prob - eps))
         )
-        if len(strategy.bets) > smoothed_cap + 1e-9:
+        if strategy.bet_count > smoothed_cap + 1e-9:
             violations.append(
-                f"{len(strategy.bets)} bets succeed with p={exact.success_prob:.6g} "
+                f"{strategy.bet_count} bets succeed with p={exact.success_prob:.6g} "
                 f"> eps but exceed the smoothed cap {smoothed_cap:.6g}"
             )
     return violations

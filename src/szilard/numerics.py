@@ -96,8 +96,3 @@ def _log_factorials(n: int) -> np.ndarray:
 def log2_binomials(n: int) -> np.ndarray:
     """log2 C(n, k) for k = 0..n (see ``binomials``)."""
     return binomials(n)[0]
-
-
-def popcount(values: np.ndarray) -> np.ndarray:
-    """Number of set bits per element of a nonnegative integer array."""
-    return np.bitwise_count(values).astype(np.int64)

@@ -16,9 +16,9 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .errors import TooLarge
-from .game import ExactResult, Strategy
-from .probdist import ExplicitDistribution
+from .errors import InvalidBets, TooLarge
+from .game import ExactResult
+from .probdist import ExplicitDistribution, _as_permutation
 
 _SUBSET_CHUNK = 1 << 16
 
@@ -77,20 +77,55 @@ def brute_hmin_smooth(
     return best
 
 
-def exhaustive_game_eval(dist: ExplicitDistribution, strategy: Strategy) -> ExactResult:
+def _check_bets(n: int, bets: tuple[tuple[int, int], ...]):
+    if len({pos for pos, _ in bets}) != len(bets):
+        raise InvalidBets(f"duplicate bet positions in {bets}")
+    for pos, val in bets:
+        if not 0 <= pos < n:
+            raise InvalidBets(f"bet position {pos} outside [0, {n})")
+        if val not in (0, 1):
+            raise InvalidBets(f"bet value {val} is not 0/1")
+
+
+def _match_mask(indices: np.ndarray, n: int, bets) -> np.ndarray:
+    mask = want = 0
+    for pos, val in bets:
+        mask |= 1 << (n - 1 - pos)
+        want |= val << (n - 1 - pos)
+    return (indices & mask) == want
+
+
+def relabeled_game_eval(
+    dist: ExplicitDistribution, permutation, bets, committed_work: float
+) -> ExactResult:
+    """Exact play of any relabeling of the 2^n outcomes and any bets: the
+    mass, summed in index order, of the outcomes whose new index reads every
+    guess. A relabeling must be a bijection (NotBijective), and the bets
+    distinct boxes guessed 0 or 1 (InvalidBets)."""
+    perm = _as_permutation(permutation, dist.n)
+    _check_bets(dist.n, bets)
+    success = float(dist.probs[_match_mask(perm[dist.indices], dist.n, bets)].sum())
+    return ExactResult(success, success * committed_work)
+
+
+def exhaustive_game_eval(
+    dist: ExplicitDistribution, permutation, bets, committed_work: float
+) -> ExactResult:
     """Walk all 2^n microstates and add up the mass of full bet matches."""
     if dist.n > 20:
         raise TooLarge(f"n {dist.n} > 20")
+    perm = _as_permutation(permutation, dist.n)
+    _check_bets(dist.n, bets)
     dense = np.zeros(1 << dist.n)
     dense[dist.indices] = dist.probs
     success = 0.0
     for state in range(1 << dist.n):
         if dense[state] == 0.0:
             continue
-        relabeled = int(strategy.plan.permutation[state])
-        if all((relabeled >> (dist.n - 1 - pos)) & 1 == val for pos, val in strategy.bets):
+        relabeled = int(perm[state])
+        if all((relabeled >> (dist.n - 1 - pos)) & 1 == val for pos, val in bets):
             success += dense[state]
-    return ExactResult(success, success * strategy.committed_work)
+    return ExactResult(success, success * committed_work)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .errors import (
     TooLarge,
     WeightSumError,
 )
-from .numerics import binomials, logsumexp2
+from .numerics import binomials
 
 #: default ceiling on the explicit outcome-space size 2^n
 DEFAULT_EXPLICIT_CAP = 2**24
@@ -84,35 +84,6 @@ class Outcome:
 
     def __str__(self) -> str:
         return "".join("LR"[b] for b in self.bits)
-
-
-@dataclass(frozen=True)
-class LogProb:
-    """A nonnegative real carried as its base-2 logarithm (-inf encodes 0)."""
-
-    log2_value: float
-
-    @classmethod
-    def from_value(cls, value: float) -> "LogProb":
-        if value < 0.0:
-            raise NegativeProbability(f"cannot take log of {value}")
-        return cls(-math.inf if value == 0.0 else math.log2(value))
-
-    @property
-    def value(self) -> float:
-        return 0.0 if self.log2_value == -math.inf else 2.0**self.log2_value
-
-    def __mul__(self, other: "LogProb") -> "LogProb":
-        return LogProb(self.log2_value + other.log2_value)
-
-    def __add__(self, other: "LogProb") -> "LogProb":
-        return LogProb(logsumexp2([self.log2_value, other.log2_value]))
-
-    def __lt__(self, other: "LogProb") -> bool:
-        return self.log2_value < other.log2_value
-
-    def __le__(self, other: "LogProb") -> bool:
-        return self.log2_value <= other.log2_value
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +159,8 @@ class ExplicitDistribution:
 
         Read off the levels without ranking the support: every entry above
         the boundary level, where the cumulative count first exceeds
-        ``size``, and the first entries of that level in index order.
+        ``size``, and the first entries of that level in index order, found
+        ``_CHUNK`` entries at a time beside the mask.
         """
         if size >= self.support_size:
             return None
@@ -197,8 +169,12 @@ class ExplicitDistribution:
         p = self.levels.p[boundary]
         mask = self.probs > p
         rem = size - (int(cum[boundary - 1]) if boundary else 0)
-        if rem:
-            mask[np.flatnonzero(self.probs == p)[:rem]] = True
+        start = 0
+        while rem:  # the boundary level holds more than rem entries
+            hits = start + np.flatnonzero(self.probs[start : start + _CHUNK] == p)[:rem]
+            mask[hits] = True
+            rem -= hits.size
+            start += _CHUNK
         return mask
 
     @property
@@ -712,7 +688,8 @@ def sample_indices(
     return picks if dist.support_size == 1 << dist.n else dist.indices[picks]
 
 
-#: support entries ``_draws_in`` folds into the running cdf at a time
+#: support entries ``_draws_in`` folds into the running cdf, and
+#: ``ExplicitDistribution.top`` scans for its boundary level, at a time
 _CHUNK = 1 << 16
 
 

@@ -11,7 +11,6 @@ import numpy as np
 
 from szilard import (
     GameConfig,
-    Strategy,
     bernoulli_product,
     build_riskfree_strategy,
     exact_evaluate,
@@ -24,20 +23,21 @@ from szilard import (
     h_min_smooth,
     make_explicit,
     mixture,
-    monte_carlo,
     riskfree_work,
     shannon,
     work_unit,
 )
-from szilard.compress import CompressionPlan
 from szilard.entropy import binary_entropy
 from szilard.oracle import (
     brute_hmax_smooth,
     brute_hmin_smooth,
     exhaustive_strategy_search,
+    relabeled_game_eval,
 )
 from szilard.probdist import _from_arrays
 from szilard.rng import make_rng
+
+from util import draw_by_draw
 
 C300 = work_unit(300.0)
 H07 = binary_entropy(0.7)
@@ -201,8 +201,7 @@ def test_criterion_6_bet_count_bound():
         k = int(rng.integers(1, n + 1))
         positions = rng.choice(n, size=k, replace=False)
         bets = tuple((int(p), int(rng.integers(0, 2))) for p in sorted(positions))
-        strategy = Strategy(CompressionPlan(n, perm), bets, float(k))
-        success = exact_evaluate(dist, strategy).success_prob
+        success = relabeled_game_eval(dist, perm, bets, float(k)).success_prob
         if success > eps:
             checked += 1
             if not k < n - h_min(dist) + math.log2(1.0 / eps):
@@ -314,17 +313,14 @@ def test_criterion_10_monte_carlo_calibration():
             k = int(rng.integers(1, n + 1))
             positions = rng.choice(n, size=k, replace=False)
             bets = tuple((int(p), int(rng.integers(0, 2))) for p in sorted(positions))
-            strategy = Strategy(
-                CompressionPlan(n, rng.permutation(1 << n).astype(np.int64)),
-                bets,
-                k * C300.joules,
-            )
-            exact = exact_evaluate(dist, strategy).success_prob
+            perm = rng.permutation(1 << n).astype(np.int64)
+            exact = relabeled_game_eval(dist, perm, bets, k * C300.joules).success_prob
             if 0.05 <= exact <= 0.95:
                 break
+        # the draw-by-draw reference, which equals monte_carlo on canonical bets
         config = GameConfig(seed=seed, n_samples=10_000)
-        mc = monte_carlo(dist, strategy, config)
-        replay = monte_carlo(dist, strategy, config)
+        mc = draw_by_draw(dist, perm, bets, k * C300.joules, config)
+        replay = draw_by_draw(dist, perm, bets, k * C300.joules, config)
         assert mc == replay
         assert json.dumps(mc.__dict__) == json.dumps(replay.__dict__)
         if abs(mc.success_rate - exact) > 4.0 * mc.stderr:

@@ -19,12 +19,11 @@ from szilard import (
     smooth_report,
     uniform_product,
 )
-from szilard import compress
-from szilard.compress import BIASED, KNOWN, UNIFORM, BitInfo, CompressionPlan
+from szilard import compress, probdist
+from szilard.compress import BIASED, KNOWN, UNIFORM, BitInfo
 from szilard.errors import (
     BiasedBitsPresent,
     IndexOutOfRange,
-    NotBijective,
     SamePosition,
     SupportOverflow,
 )
@@ -162,15 +161,9 @@ def test_canonical_plan_holds_ranks_and_builds_the_rest_on_request(rng):
     for d in (random_explicit(rng, 6), random_explicit(rng, 12, 40)):
         plan = canonical_permutation(d)
         assert not {"ranks", "permutation", "profile"} & set(vars(plan))
-        assert plan.image(d) is plan.ranks
         assert sorted(plan.ranks.tolist()) == list(range(d.support_size))
-        # another table on the same boxes is relabeled through the dense permutation
-        other = random_explicit(rng, d.n)
-        assert np.array_equal(plan.image(other), plan.permutation[other.indices])
-        dense = CompressionPlan(d.n, plan.permutation)
-        assert np.array_equal(dense.image(d), plan.ranks)
-    with pytest.raises(TypeError):
-        CompressionPlan(3)
+        # the dense permutation takes each support entry to its rank
+        assert np.array_equal(plan.permutation[d.indices], plan.ranks)
 
 
 @pytest.mark.parametrize("n", [25, 40])
@@ -183,40 +176,14 @@ def test_a_dense_permutation_over_the_cap_is_refused_before_it_is_built(monkeypa
     plan = canonical_permutation(d)
     for read in (
         lambda: plan.permutation,
-        lambda: plan.image(point_mass("R" * n)),
         lambda: apply_plan(d, plan),
     ):
         with pytest.raises(SupportOverflow):
             read()
     assert not {"ranks", "permutation"} & set(vars(plan))
     # the plan's own table is still relabeled by its ranks
-    assert plan.image(d).tolist() == [0]
+    assert plan.ranks.tolist() == [0]
     assert plan.profile == tuple(BitInfo(KNOWN, 0) for _ in range(n))
-
-
-def test_a_plan_built_from_a_permutation_has_no_profile():
-    plan = CompressionPlan(2, np.arange(4))
-    with pytest.raises(TypeError):
-        plan.profile
-    with pytest.raises(TypeError):  # nor ranks: they belong to a table
-        plan.ranks
-
-
-@pytest.mark.parametrize(
-    "perm",
-    [
-        [0, 0, 0, 0],
-        [3, 2, 1],
-        list(range(8)),
-        [0, 1, 2, 4],
-        [-1, 0, 1, 2],
-        [[0, 1], [2, 3]],
-        [0.5, 1.9, 2.2, 3.0],  # truncates to the identity
-    ],
-)
-def test_a_plan_permutation_must_be_a_bijection_on_the_outcomes(perm):
-    with pytest.raises(NotBijective):
-        CompressionPlan(2, np.array(perm))
 
 
 @pytest.mark.parametrize("distinct", [1, 256, 257, 65536, 65537])
@@ -234,6 +201,17 @@ def test_canonical_ranks_match_a_lexsort_at_many_levels(rng, distinct):
 
 @pytest.mark.parametrize("kind", ["distinct", "tied", "flat", "sparse"])
 def test_top_is_the_entries_ranked_below_size(rng, kind):
+    _check_top(rng, kind)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_top_scans_the_boundary_level_across_chunks(monkeypatch, rng, chunk):
+    monkeypatch.setattr(probdist, "_CHUNK", chunk)
+    for kind in ("distinct", "tied", "flat", "sparse"):
+        _check_top(rng, kind)
+
+
+def _check_top(rng, kind):
     for _ in range(25):
         n = int(rng.integers(1, 13))
         if kind == "distinct":

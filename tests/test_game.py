@@ -32,9 +32,7 @@ from szilard import (
     work_unit,
 )
 from szilard import compress, entropy, game, probdist
-from szilard.compress import CompressionPlan
 from szilard.errors import (
-    ArityMismatch,
     BadBetSize,
     BadEpsilon,
     BadSampleCount,
@@ -45,15 +43,13 @@ from szilard.errors import (
 )
 from szilard.game import (
     ExactResult,
-    MonteCarloEstimate,
     check_inequalities,
     riskfree_bet_count,
 )
-from szilard.probdist import sample_indices
 from szilard.rng import make_rng
-from szilard.oracle import exhaustive_gambler_search, exhaustive_game_eval
+from szilard.oracle import _match_mask, exhaustive_gambler_search, relabeled_game_eval
 
-from util import random_explicit, sorted_draws, sorted_picks
+from util import draw_by_draw, estimate, random_explicit, sorted_draws, sorted_picks
 
 C300_J = 2.870978885078724e-21
 C300_EV = 0.0179192407638041
@@ -220,37 +216,32 @@ def test_exact_evaluate_known_single_box():
 
 def test_exact_evaluate_uniform_bit_bet():
     d = explicit_of(uniform_product(1))
-    plan = canonical_permutation(d)
-    s = Strategy(plan, ((0, 0),), C300_J)
+    s = Strategy(d, 1, C300_J)
     result = exact_evaluate(d, s)
     assert result.success_prob == 0.5
     assert result.expected_work == pytest.approx(C300_J / 2, rel=1e-12)
 
 
-def test_exact_evaluate_matches_exhaustive_enumeration(rng):
-    for _ in range(25):
-        n = int(rng.integers(1, 6))
-        d = random_explicit(rng, n)
-        perm = rng.permutation(1 << n).astype(np.int64)
-        k = int(rng.integers(1, n + 1))
-        positions = rng.choice(n, size=k, replace=False)
-        bets = tuple((int(p), int(rng.integers(0, 2))) for p in sorted(positions))
-        s = Strategy(CompressionPlan(n, perm), bets, k * 1.0)
-        mine = exact_evaluate(d, s)
-        ref = exhaustive_game_eval(d, s)
-        assert mine.success_prob == pytest.approx(ref.success_prob, abs=1e-12)
-        assert mine.expected_work == pytest.approx(ref.expected_work, abs=1e-12)
+def test_a_strategy_is_played_only_on_its_own_table():
+    # an equal copy is refused too (for other box counts see
+    # test_plan_and_table_must_have_the_same_box_count)
+    d = explicit_of(bernoulli_product(0.7, 6))
+    copy = explicit_of(bernoulli_product(0.7, 6))
+    assert copy.same_table(d)
+    for b in (0, 3, 6):
+        s = Strategy(d, b, float(b))
+        with pytest.raises(InvalidBets):
+            exact_evaluate(copy, s)
+        with pytest.raises(InvalidBets):
+            monte_carlo(copy, s, GameConfig(n_samples=10))
 
 
-def test_exact_evaluate_rejects_bad_bets():
-    d = explicit_of(uniform_product(2))
-    plan = canonical_permutation(d)
-    with pytest.raises(InvalidBets):
-        exact_evaluate(d, Strategy(plan, ((0, 0), (0, 1)), 2.0))
-    with pytest.raises(InvalidBets):
-        exact_evaluate(d, Strategy(plan, ((5, 0),), 1.0))
-    with pytest.raises(InvalidBets):
-        exact_evaluate(d, Strategy(plan, ((0, 2),), 1.0))
+def test_a_strategy_bets_zero_to_n_boxes():
+    d = explicit_of(uniform_product(3))
+    for b in (-1, 4):
+        with pytest.raises(BadBetSize):
+            Strategy(d, b, 1.0)
+    assert [Strategy(d, b, 0.0).bets for b in (0, 2)] == [(), ((0, 0), (1, 0))]
 
 
 # ------------------------------------------------------------- strategies
@@ -299,11 +290,11 @@ def test_gambler_strategy_beats_random_bet_sets(rng):
     d = random_explicit(rng, 6)
     m = 3
     best = exact_evaluate(d, build_gambler_strategy(d, m, 1.0)).success_prob
-    plan = canonical_permutation(d)
+    perm = canonical_permutation(d).permutation
     for _ in range(1000):
         positions = sorted(int(x) for x in rng.choice(6, size=m, replace=False))
         bets = tuple((p, int(rng.integers(0, 2))) for p in positions)
-        rival = exact_evaluate(d, Strategy(plan, bets, float(m))).success_prob
+        rival = relabeled_game_eval(d, perm, bets, float(m)).success_prob
         assert best >= rival - 1e-12
 
 
@@ -370,19 +361,14 @@ def test_monte_carlo_brackets_exact_success(rng):
 
 
 def _draw_by_draw(d, s, config):
-    """Monte Carlo the way it was first written: one index per play, relabeled
-    through the dense permutation and matched against the bets."""
-    draws = sample_indices(d, make_rng(config.seed), config.n_samples)
-    permuted = s.plan.permutation[draws]
-    mask = want = 0
-    for pos, val in s.bets:
-        mask |= 1 << (d.n - 1 - pos)
-        want |= val << (d.n - 1 - pos)
-    rate = float(((permuted & mask) == want).mean())
-    return MonteCarloEstimate(
-        rate, rate * s.committed_work, math.sqrt(rate * (1.0 - rate) / config.n_samples),
-        config.seed, config.n_samples,
-    )
+    return draw_by_draw(d, s.plan.permutation, s.bets, s.committed_work, config)
+
+
+def _relabeled_mc(d, wins, committed_work, config):
+    """Monte Carlo of a relabeled play through the library's draw count: the
+    draws ``monte_carlo`` would make, counted in the play's win mask."""
+    hits = probdist._draws_in(d, wins, make_rng(config.seed), config.n_samples)
+    return estimate(hits / config.n_samples, committed_work, config)
 
 
 def test_monte_carlo_equals_the_draw_by_draw_reference(rng):
@@ -407,26 +393,32 @@ def test_monte_carlo_equals_the_draw_by_draw_reference(rng):
             build_riskfree_strategy(d, float(rng.uniform(0.0, 0.3)), 1.0),
             build_gambler_strategy(d, m, 1.5),
         ]
+        plays = [(s.plan.permutation, s.bets, s.committed_work, s) for s in strategies]
         if d.n <= 10:  # a random dense relabeling, as in criteria 6 and 10
             positions = sorted(rng.choice(d.n, size=m, replace=False).tolist())
             bets = tuple((p, int(rng.integers(0, 2))) for p in positions)
             perm = rng.permutation(1 << d.n).astype(np.int64)
-            strategies.append(Strategy(CompressionPlan(d.n, perm), bets, float(m)))
-        for s in strategies:
-            assert monte_carlo(d, s, config) == _draw_by_draw(d, s, config)
-            permuted = s.plan.permutation[d.indices]
+            plays.append((perm, bets, float(m), None))
+        for perm, bets, work, s in plays:
+            permuted = perm[d.indices]
             hit = np.ones(d.support_size, dtype=bool)
-            for pos, val in s.bets:
+            for pos, val in bets:
                 hit &= ((permuted >> (d.n - 1 - pos)) & 1) == val
-            assert exact_evaluate(d, s).success_prob == float(d.probs[hit].sum())
+            if s is None:  # the oracle plays it, and the draws are counted in its mask
+                exact = relabeled_game_eval(d, perm, bets, work)
+                mc = _relabeled_mc(d, hit, work, config)
+            else:
+                exact, mc = exact_evaluate(d, s), monte_carlo(d, s, config)
+            assert mc == draw_by_draw(d, perm, bets, work, config)
+            assert exact.success_prob == float(d.probs[hit].sum())
 
 
 def test_game_on_an_explicit_table_builds_no_dense_permutation(monkeypatch):
     d = explicit_of(bernoulli_product(0.7, 12))
-    dense = compress._dense_permutation
+    dense, ranks = compress._dense_permutation, compress._canonical_ranks
 
     def refuse(*args):
-        raise AssertionError("the game must not build the dense permutation")
+        raise AssertionError("the game must not build the dense permutation or the ranks")
 
     sorts = []  # the size of the array each np.unique call sorts
     unique = np.unique
@@ -436,6 +428,7 @@ def test_game_on_an_explicit_table_builds_no_dense_permutation(monkeypatch):
         return unique(ar, *args, **kwargs)
 
     monkeypatch.setattr(compress, "_dense_permutation", refuse)
+    monkeypatch.setattr(compress, "_canonical_ranks", refuse)
     monkeypatch.setattr(np, "unique", counting_unique)
     s = build_riskfree_strategy(d, 1e-3, 1.0)
     exact = exact_evaluate(d, s)
@@ -443,7 +436,6 @@ def test_game_on_an_explicit_table_builds_no_dense_permutation(monkeypatch):
     assert check_inequalities(d, s, exact, 1e-3, 1.0) == []
     work_bounds(d, 1e-3, 1.0)
     assert sorts == []  # the table took its levels from its type classes
-    assert "permutation" not in vars(s.plan) and "ranks" not in vars(s.plan)
     # a gambler op on a fresh table: class probabilities monotone in k are
     # read in order and nothing is sorted; classes whose probabilities turn
     # (a U-shaped mixture) are sorted, but only their n + 1 values; no ranks
@@ -457,31 +449,25 @@ def test_game_on_an_explicit_table_builds_no_dense_permutation(monkeypatch):
         monte_carlo(g_table, g, GameConfig(seed=6, n_samples=20_000))
         assert check_inequalities(g_table, g, g_exact, 1e-3, 1.0) == []
         assert bool(sorts) == sorted_classes and max(sorts, default=0) <= 11 + 1
-        assert "permutation" not in vars(g.plan) and "ranks" not in vars(g.plan)
     monkeypatch.setattr(compress, "_dense_permutation", dense)
+    monkeypatch.setattr(compress, "_canonical_ranks", ranks)
     # the lazily built relabeling is the one the ranks describe
     assert np.array_equal(s.plan.permutation[d.indices], s.plan.ranks)
     assert mc == _draw_by_draw(d, s, GameConfig(seed=5, n_samples=20_000))
 
 
-def _pick_form(d, s, config):
+def _pick_form(d, wins, committed_work, config):
     """Monte Carlo with one pick per play: the sorted picks looked up in the
     win mask, as the count was first taken on the sorted stream."""
     picks = sorted_picks(d, make_rng(config.seed), config.n_samples)
-    wins = game._wins(d, s)
     if wins is None:  # the winning cell holds the whole support
         wins = np.ones(d.support_size, dtype=bool)
-    rate = float(wins[picks].mean())
-    return MonteCarloEstimate(
-        rate, rate * s.committed_work, math.sqrt(rate * (1.0 - rate) / config.n_samples),
-        config.seed, config.n_samples,
-    )
+    return estimate(float(wins[picks].mean()), committed_work, config)
 
 
 def _leading_bets(d):
     """Every canonical bet on the table: b = 0 (all win) to b = n, and the risk-free one."""
-    plan = canonical_permutation(d)
-    bets = [Strategy(plan, tuple((p, 0) for p in range(b)), float(b)) for b in range(d.n + 1)]
+    bets = [Strategy(d, b, float(b)) for b in range(d.n + 1)]
     return bets + [build_riskfree_strategy(d, 1e-3, 1.0)]
 
 
@@ -495,9 +481,16 @@ def test_monte_carlo_counts_alike_on_either_side_of_the_sample_count(rng, size):
         n = max(1, (k - 1).bit_length())
         for d in (random_explicit(rng, n, k), random_explicit(rng, n + 1, k, levels=(1.0, 2.0))):
             config = GameConfig(seed=int(rng.integers(2**32)), n_samples=size)
-            for s in _leading_bets(d) + [Strategy(canonical_permutation(d), ((0, 1),), 1.0)]:
+            for s in _leading_bets(d):
                 mc = monte_carlo(d, s, config)
-                assert mc == _pick_form(d, s, config) == _draw_by_draw(d, s, config)
+                pick = _pick_form(d, game._wins(d, s), s.committed_work, config)
+                assert mc == pick == _draw_by_draw(d, s, config)
+            # R on box 0 of the compressed table, played by the oracle's mask
+            perm = canonical_permutation(d).permutation
+            wins = _match_mask(perm[d.indices], d.n, ((0, 1),))
+            mc = _relabeled_mc(d, wins, 1.0, config)
+            assert mc == _pick_form(d, wins, 1.0, config)
+            assert mc == draw_by_draw(d, perm, ((0, 1),), 1.0, config)
 
 
 def test_draws_in_a_mask_are_the_picks_in_it(rng):
@@ -600,6 +593,13 @@ def test_monte_carlo_holds_no_support_sized_cdf():
     assert peak < 1.5 * d.probs.nbytes
 
 
+def test_exact_evaluate_holds_one_support_sized_mask():
+    # the 8-box bet wins on the top 2^16 of 2^24 outcomes, part of a level
+    d = explicit_of(bernoulli_product(0.7, 24))
+    s = build_gambler_strategy(d, 8, 1.0)
+    assert _peak_bytes(lambda: exact_evaluate(d, s)) < 20e6
+
+
 def test_monte_carlo_on_plateaus_and_sparse_tables(rng):
     tiny = make_explicit(10, [(i, 5e-324 if i % 3 else 1 / 342) for i in range(1 << 10)])
     sparse = [random_explicit(rng, 20, k) for k in (2, 50, 999)]
@@ -607,7 +607,8 @@ def test_monte_carlo_on_plateaus_and_sparse_tables(rng):
         for size in (1, 7, 1000, 5000):
             config = GameConfig(seed=int(rng.integers(2**32)), n_samples=size)
             for s in _leading_bets(d):
-                assert monte_carlo(d, s, config) == _pick_form(d, s, config)
+                pick = _pick_form(d, game._wins(d, s), s.committed_work, config)
+                assert monte_carlo(d, s, config) == pick
     s = _leading_bets(tiny)[0]  # b = 0: every play wins
     assert monte_carlo(tiny, s, GameConfig(n_samples=777)).success_rate == 1.0
     s = build_gambler_strategy(tiny, 10, 1.0)  # only the top outcome wins
@@ -615,17 +616,13 @@ def test_monte_carlo_on_plateaus_and_sparse_tables(rng):
     assert monte_carlo(tiny, s, config) == _draw_by_draw(tiny, s, config)
 
 
-def _rank_path(d, s, config):
+def _rank_path(d, bets, committed_work, config):
     """Exact success and Monte Carlo matched through the plan's ranks."""
-    ranks = s.plan.ranks
-    success = float(d.probs[game._match_mask(ranks, d.n, s.bets)].sum())
+    ranks = canonical_permutation(d).ranks
+    success = float(d.probs[_match_mask(ranks, d.n, bets)].sum())
     picks = sorted_picks(d, make_rng(config.seed), config.n_samples)
-    rate = float(game._match_mask(ranks[picks], d.n, s.bets).mean())
-    mc = MonteCarloEstimate(
-        rate, rate * s.committed_work, math.sqrt(rate * (1.0 - rate) / config.n_samples),
-        config.seed, config.n_samples,
-    )
-    return ExactResult(success, success * s.committed_work), mc
+    mc = estimate(float(_match_mask(ranks[picks], d.n, bets).mean()), committed_work, config)
+    return ExactResult(success, success * committed_work), mc
 
 
 @pytest.mark.parametrize("kind", ["distinct", "tied", "flat", "sparse"])
@@ -641,18 +638,19 @@ def test_canonical_bets_win_as_the_rank_path(rng, kind):
         else:
             d = random_explicit(rng, n, int(rng.integers(1, min(40, 1 << n) + 1)))
         config = GameConfig(seed=int(rng.integers(2**32)), n_samples=int(rng.choice([1, 50, 3000])))
-        plan = canonical_permutation(d)
-        strategies = [Strategy(plan, tuple((p, 0) for p in range(b)), float(b)) for b in range(n + 1)]
+        strategies = [Strategy(d, b, float(b)) for b in range(n + 1)]
         strategies.append(build_riskfree_strategy(d, float(rng.uniform(0.0, 0.3)), 1.0))
-        # bets off the leading L run go through the ranks
-        strategies.append(Strategy(plan, ((0, 1),), 1.0))
-        if n > 1:
-            strategies.append(Strategy(plan, ((1, 0),), 1.0))
-            strategies.append(Strategy(plan, ((0, 0), (1, 1)), 2.0))
         for s in strategies:
-            fresh = Strategy(canonical_permutation(d), s.bets, s.committed_work)
-            exact, mc = exact_evaluate(d, fresh), monte_carlo(d, fresh, config)
-            assert (exact, mc) == _rank_path(d, s, config)
+            exact, mc = exact_evaluate(d, s), monte_carlo(d, s, config)
+            assert (exact, mc) == _rank_path(d, s.bets, s.committed_work, config)
+        # bets off the leading L run are played by the oracle, through the ranks
+        off_run = [((0, 1),)] + ([((1, 0),), ((0, 0), (1, 1))] if n > 1 else [])
+        perm = canonical_permutation(d).permutation
+        for bets in off_run:
+            exact = relabeled_game_eval(d, perm, bets, float(len(bets)))
+            wins = _match_mask(perm[d.indices], d.n, bets)
+            mc = _relabeled_mc(d, wins, float(len(bets)), config)
+            assert (exact, mc) == _rank_path(d, bets, float(len(bets)), config)
 
 
 def _mask_path(d, s, config):
@@ -660,11 +658,7 @@ def _mask_path(d, s, config):
     masked copy summed, and the draws counted in it."""
     mask = np.ones(d.support_size, dtype=bool)
     success = float(d.probs[mask].sum())
-    rate = probdist._draws_in(d, mask, make_rng(config.seed), config.n_samples) / config.n_samples
-    mc = MonteCarloEstimate(
-        rate, rate * s.committed_work, math.sqrt(rate * (1.0 - rate) / config.n_samples),
-        config.seed, config.n_samples,
-    )
+    mc = _relabeled_mc(d, mask, s.committed_work, config)
     return ExactResult(success, success * s.committed_work), mc
 
 
@@ -684,20 +678,20 @@ def test_bets_whose_cell_holds_the_support_score_as_the_mask_path(rng, kind):
             detail = h_min_smooth_detail if rng.random() < 0.5 else h_max_smooth_detail
             d = detail(source, eps).witness
         config = GameConfig(seed=int(rng.integers(2**32)), n_samples=int(rng.choice([1, 50, 3000])))
-        plan = canonical_permutation(d)
         covering = [b for b in range(d.n + 1) if 1 << (d.n - b) >= d.support_size]
         assert covering and covering[0] == 0
         for b in covering:
-            s = Strategy(plan, tuple((p, 0) for p in range(b)), float(b))
+            s = Strategy(d, b, float(b))
             assert game._wins(d, s) is None
             assert (exact_evaluate(d, s), monte_carlo(d, s, config)) == _mask_path(d, s, config)
             assert exact_evaluate(d, s).success_prob == d.total()
-        # the next bet splits the support; other bets and plans are matched
-        identity = CompressionPlan(d.n, np.arange(1 << d.n))
-        others = [Strategy(plan, ((0, 1),), 1.0), Strategy(identity, (), 0.0)]
+        # the next bet splits the support; other bets and plans are matched by the oracle
         if covering[-1] < d.n:
-            others.append(Strategy(plan, tuple((p, 0) for p in range(covering[-1] + 1)), 0.0))
-        assert not any(game._wins(d, s) is None for s in others)
+            assert game._wins(d, Strategy(d, covering[-1] + 1, 0.0)) is not None
+        plan = canonical_permutation(d)
+        r_first = relabeled_game_eval(d, plan.permutation, ((0, 1),), 1.0).success_prob
+        assert r_first == float(d.probs[plan.ranks >= 1 << (d.n - 1)].sum())
+        assert relabeled_game_eval(d, np.arange(1 << d.n), (), 0.0).success_prob == d.total()
 
 
 def test_the_riskfree_game_reads_no_index_range():
@@ -751,8 +745,7 @@ def test_bet_count_capped_by_min_entropy_margin(rng):
         k = int(rng.integers(1, n + 1))
         positions = rng.choice(n, size=k, replace=False)
         bets = tuple((int(p), int(rng.integers(0, 2))) for p in sorted(positions))
-        s = Strategy(CompressionPlan(n, perm), bets, float(k))
-        success = exact_evaluate(d, s).success_prob
+        success = relabeled_game_eval(d, perm, bets, float(k)).success_prob
         if success > eps:
             assert k < n - h_min(d) + math.log2(1.0 / eps)
 
@@ -789,10 +782,10 @@ def test_smoothed_gambling_cap_holds_for_the_best_bet_of_every_size(rng):
     tables += [random_explicit(rng, int(rng.integers(2, 11)), levels=(1.0, 2.0)) for _ in range(3)]
     beaten = 0  # bets past the printed figure with success above eps
     for d in tables:
-        plan = canonical_permutation(d)
         for m in range(1, d.n + 1):
             bets, mass = exhaustive_gambler_search(d, m)
-            s = Strategy(plan, bets, float(m))
+            s = build_gambler_strategy(d, m, 1.0)
+            assert s.bets == bets  # the searched best bet is the canonical one
             exact = exact_evaluate(d, s)
             assert exact.success_prob == pytest.approx(mass, rel=1e-12, abs=1e-15)
             for eps in (1e-3, 0.01, 0.05, 0.1, 0.3):
@@ -842,11 +835,10 @@ def test_game_config_validation():
 
 def test_plan_and_table_must_have_the_same_box_count():
     d = make_explicit(2, [("LL", 0.5), ("RR", 0.5)])
-    wide = CompressionPlan(3, np.arange(8)[::-1])
-    for plan in (wide, canonical_permutation(make_explicit(3, [("LLL", 1.0)]))):
-        for bets in ((), ((0, 0),), ((0, 0), (1, 0))):
-            s = Strategy(plan, bets, float(len(bets)))
-            with pytest.raises(ArityMismatch):
-                exact_evaluate(d, s)
-            with pytest.raises(ArityMismatch):
-                monte_carlo(d, s, GameConfig(n_samples=10))
+    wider = make_explicit(3, [("LLL", 1.0)])
+    for b in range(3):
+        s = Strategy(wider, b, float(b))
+        with pytest.raises(InvalidBets):
+            exact_evaluate(d, s)
+        with pytest.raises(InvalidBets):
+            monte_carlo(d, s, GameConfig(n_samples=10))

@@ -1,5 +1,6 @@
 import time
 
+import numpy as np
 import pytest
 
 from szilard import (
@@ -14,14 +15,14 @@ from szilard import (
     point_mass,
     uniform_product,
 )
-from szilard.errors import TooLarge
-from szilard.game import Strategy
+from szilard.errors import InvalidBets, NotBijective, TooLarge
 from szilard.oracle import (
     brute_hmax_smooth,
     brute_hmin_smooth,
     exhaustive_gambler_search,
     exhaustive_game_eval,
     exhaustive_strategy_search,
+    relabeled_game_eval,
 )
 from szilard.rng import make_rng
 
@@ -58,22 +59,66 @@ def test_brute_hmin_two_point():
 def test_exhaustive_eval_single_known_box():
     d = point_mass("L")
     s = build_riskfree_strategy(d, 0.0, 1.0)
-    assert exhaustive_game_eval(d, s).success_prob == 1.0
+    assert exhaustive_game_eval(d, s.plan.permutation, s.bets, 1.0).success_prob == 1.0
 
 
 def test_exhaustive_eval_uniform_bit():
     d = explicit_of(uniform_product(1))
-    s = Strategy(canonical_permutation(d), ((0, 0),), 1.0)
-    assert exhaustive_game_eval(d, s).success_prob == 0.5
+    perm = canonical_permutation(d).permutation
+    assert exhaustive_game_eval(d, perm, ((0, 0),), 1.0).success_prob == 0.5
 
 
 def test_exhaustive_eval_matches_fast_path(rng):
     for _ in range(10):
         d = random_explicit(rng, 4)
         s = build_riskfree_strategy(d, 0.1, 1.0)
-        assert exhaustive_game_eval(d, s).success_prob == pytest.approx(
-            exact_evaluate(d, s).success_prob, abs=1e-12
-        )
+        walked = exhaustive_game_eval(d, s.plan.permutation, s.bets, s.committed_work)
+        assert walked.success_prob == pytest.approx(exact_evaluate(d, s).success_prob, abs=1e-12)
+
+
+def test_relabeled_game_eval_matches_exhaustive_enumeration(rng):
+    for _ in range(25):
+        n = int(rng.integers(1, 6))
+        d = random_explicit(rng, n)
+        perm = rng.permutation(1 << n).astype(np.int64)
+        k = int(rng.integers(1, n + 1))
+        positions = rng.choice(n, size=k, replace=False)
+        bets = tuple((int(p), int(rng.integers(0, 2))) for p in sorted(positions))
+        mine = relabeled_game_eval(d, perm, bets, k * 1.0)
+        ref = exhaustive_game_eval(d, perm, bets, k * 1.0)
+        assert mine.success_prob == pytest.approx(ref.success_prob, abs=1e-12)
+        assert mine.expected_work == pytest.approx(ref.expected_work, abs=1e-12)
+
+
+def test_relabeled_game_eval_rejects_bad_bets():
+    d = explicit_of(uniform_product(2))
+    perm = canonical_permutation(d).permutation
+    for play in (relabeled_game_eval, exhaustive_game_eval):
+        with pytest.raises(InvalidBets):
+            play(d, perm, ((0, 0), (0, 1)), 2.0)
+        with pytest.raises(InvalidBets):
+            play(d, perm, ((5, 0),), 1.0)
+        with pytest.raises(InvalidBets):
+            play(d, perm, ((0, 2),), 1.0)
+
+
+@pytest.mark.parametrize(
+    "perm",
+    [
+        [0, 0, 0, 0],
+        [3, 2, 1],
+        list(range(8)),  # a relabeling of three boxes
+        [0, 1, 2, 4],
+        [-1, 0, 1, 2],
+        [[0, 1], [2, 3]],
+        [0.5, 1.9, 2.2, 3.0],  # truncates to the identity
+    ],
+)
+def test_a_relabeling_must_be_a_bijection_on_the_outcomes(perm):
+    d = make_explicit(2, [("LL", 0.5), ("RR", 0.5)])
+    for play in (relabeled_game_eval, exhaustive_game_eval):
+        with pytest.raises(NotBijective):
+            play(d, np.array(perm), (), 0.0)
 
 
 def test_search_on_correlated_pair():

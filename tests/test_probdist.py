@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from szilard import (
-    LogProb,
     Outcome,
     apply_permutation,
     bernoulli_product,
@@ -41,10 +40,10 @@ from szilard.errors import (
     WeightSumError,
 )
 from szilard import compress, entropy, probdist
-from szilard.numerics import binomials, log2_binomials, popcount
+from szilard.numerics import binomials, log2_binomials
 from szilard.rng import make_rng
 
-from util import random_explicit, random_mixture_params, sorted_picks
+from util import popcount, random_explicit, random_mixture_params, sorted_picks
 
 
 # ---------------------------------------------------------------- outcomes
@@ -716,23 +715,6 @@ def test_sampling_soundness_tv_band(rng):
         if tv > 4.0 * math.sqrt(d.support_size / n_draws):
             failures += 1
     assert failures <= runs * 0.01
-
-
-# ----------------------------------------------------------------- LogProb
-
-
-@given(st.floats(min_value=1e-300, max_value=1.0))
-def test_logprob_roundtrip(p):
-    assert LogProb.from_value(p).value == pytest.approx(p, rel=1e-12)
-
-
-def test_logprob_zero_and_algebra():
-    zero = LogProb.from_value(0.0)
-    half = LogProb.from_value(0.5)
-    assert zero.value == 0.0
-    assert (half * half).value == pytest.approx(0.25, rel=1e-12)
-    assert (half + half).value == pytest.approx(1.0, rel=1e-12)
-    assert zero < half
 
 
 @settings(max_examples=50)

@@ -6,8 +6,10 @@ import math
 import numpy as np
 
 from szilard import ExplicitDistribution, MixtureOfProducts, TypeClassView, make_explicit
+from szilard.game import MonteCarloEstimate
 from szilard.numerics import binomials
-from szilard.probdist import Spectrum
+from szilard.probdist import Spectrum, sample_indices
+from szilard.rng import make_rng
 
 
 def random_explicit(
@@ -56,6 +58,33 @@ def sorted_picks(dist: ExplicitDistribution, rng: np.random.Generator, size: int
     pick per play on the whole cdf."""
     cdf, u = sorted_draws(dist, rng, size)
     return cdf.searchsorted(u, side="right")
+
+
+def popcount(values: np.ndarray) -> np.ndarray:
+    """Number of set bits per element of a nonnegative integer array."""
+    return np.bitwise_count(values).astype(np.int64)
+
+
+def draw_by_draw(d: ExplicitDistribution, permutation, bets, committed_work: float, config):
+    """Monte Carlo the way it was first written: one index per play, relabeled
+    through the dense permutation and matched against the bets. It plays any
+    relabeling, and on a strategy's own plan it is ``monte_carlo`` bit for bit."""
+    draws = sample_indices(d, make_rng(config.seed), config.n_samples)
+    permuted = np.asarray(permutation)[draws]
+    mask = want = 0
+    for pos, val in bets:
+        mask |= 1 << (d.n - 1 - pos)
+        want |= val << (d.n - 1 - pos)
+    rate = float(((permuted & mask) == want).mean())
+    return estimate(rate, committed_work, config)
+
+
+def estimate(rate: float, committed_work: float, config) -> MonteCarloEstimate:
+    """The Monte Carlo figures ``monte_carlo`` reports for a success rate."""
+    return MonteCarloEstimate(
+        rate, rate * committed_work, math.sqrt(rate * (1.0 - rate) / config.n_samples),
+        config.seed, config.n_samples,
+    )
 
 
 def random_mixture_params(rng: np.random.Generator, n: int, max_components: int = 3):
