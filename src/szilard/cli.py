@@ -2,13 +2,18 @@
 
 Distribution specs use a tiny grammar:
 
-    spec   := term | "mix(" wterm ("," wterm)+ ")"
-    wterm  := number ":" term
-    term   := "bernoulli(" number ")" "^" integer
-            | "det(" [LR]+ ")"
-            | "uniform" "^" integer
-            | "explicit{" pair ("," pair)* "}"
-    pair   := [LR]+ ":" number
+    spec    := term | "mix(" wterm ("," wterm)+ ")"
+    wterm   := number ":" term
+    term    := "bernoulli(" number ")" "^" integer
+             | "det(" [LR]+ ")"
+             | "uniform" "^" integer
+             | "explicit{" pair ("," pair)* "}"
+    pair    := [LR]+ ":" number
+    integer := [0-9]+
+    number  := [0-9.eE+-]+, as Python's float() reads it
+
+Integers and numbers are ASCII: any other Unicode digit is a ParseError.
+Whitespace may separate tokens.
 
 Mix weights must be positive and finite and sum to 1 within 1e-9. The
 module only parses and prints: ``probdist.mixture`` forms a mix, a product
@@ -24,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -124,45 +128,44 @@ class _Parser:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def expect(self, literal: str):
+    def accept(self, literal: str) -> bool:
         self.skip_ws()
         if not self.text.startswith(literal, self.pos):
-            self.error(f"expected {literal!r}", expected=literal)
+            return False
         self.pos += len(literal)
+        return True
 
-    def peek(self, literal: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(literal, self.pos)
+    def expect(self, literal: str):
+        if not self.accept(literal):
+            self.error(f"expected {literal!r}", expected=literal)
 
-    def number(self) -> float:
+    def scan(self, allowed: str) -> tuple[int, str]:
+        """The longest run of characters in ``allowed`` after any whitespace,
+        with the position where it starts."""
         self.skip_ws()
         start = self.pos
-        allowed = "0123456789.eE+-"
         while self.pos < len(self.text) and self.text[self.pos] in allowed:
             self.pos += 1
-        token = self.text[start : self.pos]
+        return start, self.text[start : self.pos]
+
+    def number(self) -> float:
+        start, token = self.scan("0123456789.eE+-")
         try:
             return float(token)
         except ValueError:
             self.error(f"expected a number, got {token!r}", expected="number", at=start)
 
     def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
+        start, token = self.scan("0123456789")
+        if not token:
             self.error("expected an integer", expected="integer", at=start)
-        return int(self.text[start : self.pos])
+        return int(token)
 
     def lr_string(self) -> tuple[int, ...]:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in "LR":
-            self.pos += 1
-        if start == self.pos:
+        start, token = self.scan("LR")
+        if not token:
             self.error("expected an L/R string", expected="[LR]+", at=start)
-        return tuple(0 if ch == "L" else 1 for ch in self.text[start : self.pos])
+        return tuple(0 if ch == "L" else 1 for ch in token)
 
     def probability(self) -> float:
         self.skip_ws()
@@ -173,31 +176,24 @@ class _Parser:
         return value
 
     def term(self):
-        self.skip_ws()
-        if self.peek("bernoulli"):
-            self.expect("bernoulli")
+        if self.accept("bernoulli"):
             self.expect("(")
             q = self.probability()
             self.expect(")")
             self.expect("^")
-            n = self.integer()
-            return SpecBernoulli(q, n)
-        if self.peek("det"):
-            self.expect("det")
+            return SpecBernoulli(q, self.integer())
+        if self.accept("det"):
             self.expect("(")
             bits = self.lr_string()
             self.expect(")")
             return SpecDet(bits)
-        if self.peek("uniform"):
-            self.expect("uniform")
+        if self.accept("uniform"):
             self.expect("^")
             return SpecUniform(self.integer())
-        if self.peek("explicit"):
-            self.expect("explicit")
+        if self.accept("explicit"):
             self.expect("{")
             pairs = [self.pair()]
-            while self.peek(","):
-                self.expect(",")
+            while self.accept(","):
                 pairs.append(self.pair())
             self.expect("}")
             if len({len(bits) for bits, _ in pairs}) != 1:
@@ -214,13 +210,10 @@ class _Parser:
         return bits, self.number()
 
     def spec(self):
-        self.skip_ws()
-        if self.peek("mix"):
-            self.expect("mix")
+        if self.accept("mix"):
             self.expect("(")
             terms = [self.wterm()]
-            while self.peek(","):
-                self.expect(",")
+            while self.accept(","):
                 terms.append(self.wterm())
             self.expect(")")
             if len(terms) < 2:
@@ -287,19 +280,6 @@ def _sig6(x: float) -> float:
 
 def _work_dict(w: game.Work) -> dict:
     return {"bits": _sig6(w.bits), "joules": _sig6(w.joules), "ev": _sig6(w.ev)}
-
-
-def _emit_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _emit_csv(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([f"{v:.6g}" if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
 
 
 # ----------------------------------------------------------------- commands
@@ -538,33 +518,32 @@ def _rows_to_json(header: list[str], rows: list[list]) -> list[dict]:
     ]
 
 
+def _one_row(flat: dict) -> tuple[list[str], list[list]]:
+    return list(flat), [list(flat.values())]
+
+
 def run(argv: list[str] | None = None) -> int:
+    """Each command computes its JSON result and its CSV header and rows;
+    one step writes the form ``--format`` names (the hidden ``oracle`` is
+    JSON only). Exit code 2 when the game reports violations."""
     args = build_arg_parser().parse_args(argv)
+    code = 0
     if args.command == "entropy":
         result = cmd_entropy(_read_spec(args), args.epsilon)
-        if args.format == "csv":
-            keys = list(result)
-            sys.stdout.write(_emit_csv(keys, [[result[k] for k in keys]]))
-        else:
-            sys.stdout.write(_emit_json(result))
-        return 0
-    if args.command == "work":
+        header, rows = _one_row(result)
+    elif args.command == "work":
         result = cmd_work(_read_spec(args), args.epsilon, args.temperature_kelvin)
-        if args.format == "csv":
-            flat = {
-                "n": result["n"],
-                "epsilon": result["epsilon"],
-                "temperature_kelvin": result["temperature_kelvin"],
-                "min_work_bits": result["min_work"]["bits"],
-                "max_work_bits": result["max_work"]["bits"] if result["max_work"] else "",
-                "min_work_eV": result["min_work"]["ev"],
-                "max_work_eV": result["max_work"]["ev"] if result["max_work"] else "",
-            }
-            sys.stdout.write(_emit_csv(list(flat), [list(flat.values())]))
-        else:
-            sys.stdout.write(_emit_json(result))
-        return 0
-    if args.command == "game":
+        max_work = result["max_work"] or {"bits": "", "ev": ""}
+        header, rows = _one_row({
+            "n": result["n"],
+            "epsilon": result["epsilon"],
+            "temperature_kelvin": result["temperature_kelvin"],
+            "min_work_bits": result["min_work"]["bits"],
+            "max_work_bits": max_work["bits"],
+            "min_work_eV": result["min_work"]["ev"],
+            "max_work_eV": max_work["ev"],
+        })
+    elif args.command == "game":
         config = game.GameConfig(
             temperature=args.temperature_kelvin,
             epsilon=args.epsilon,
@@ -572,34 +551,32 @@ def run(argv: list[str] | None = None) -> int:
             n_samples=args.samples,
         )
         result = cmd_game(_read_spec(args), args.strategy, args.bet_size, config)
-        if args.format == "csv":
-            flat = {
-                "n": result["n"],
-                "epsilon": result["epsilon"],
-                "success_prob": result["exact"]["success_prob"],
-                "mc_success_rate": result["monte_carlo"]["success_rate"],
-                "mc_stderr": result["monte_carlo"]["stderr"],
-                "committed_work_bits": result["strategy"]["committed_work"]["bits"],
-                "violations": ";".join(result["violations"]),
-            }
-            sys.stdout.write(_emit_csv(list(flat), [list(flat.values())]))
-        else:
-            sys.stdout.write(_emit_json(result))
-        return 2 if result["violations"] else 0
-    if args.command in ("table1", "figure3"):
+        header, rows = _one_row({
+            "n": result["n"],
+            "epsilon": result["epsilon"],
+            "success_prob": result["exact"]["success_prob"],
+            "mc_success_rate": result["monte_carlo"]["success_rate"],
+            "mc_stderr": result["monte_carlo"]["stderr"],
+            "committed_work_bits": result["strategy"]["committed_work"]["bits"],
+            "violations": ";".join(result["violations"]),
+        })
+        code = 2 if result["violations"] else 0
+    elif args.command == "oracle":
+        result = cmd_oracle(_read_spec(args), args.epsilon, args.seed)
+    else:
         if args.command == "table1":
             header, rows = cmd_table1(args.epsilon, args.temperature_kelvin, args.n)
         else:
             header, rows = cmd_figure3(args.p, args.epsilon, _parse_n_list(args.n_list))
-        if args.format == "json":
-            sys.stdout.write(_emit_json(_rows_to_json(header, rows)))
-        else:
-            sys.stdout.write(_emit_csv(header, rows))
-        return 0
-    if args.command == "oracle":
-        sys.stdout.write(_emit_json(cmd_oracle(_read_spec(args), args.epsilon, args.seed)))
-        return 0
-    raise AssertionError(f"unhandled command {args.command}")
+        result = _rows_to_json(header, rows)
+    if getattr(args, "format", "json") == "json":
+        sys.stdout.write(json.dumps(result, indent=2) + "\n")
+    else:
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.6g}" if isinstance(v, float) else v for v in row])
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -124,7 +124,7 @@ def exhaustive_game_eval(
             continue
         relabeled = int(perm[state])
         if all((relabeled >> (dist.n - 1 - pos)) & 1 == val for pos, val in bets):
-            success += dense[state]
+            success += float(dense[state])
     return ExactResult(success, success * committed_work)
 
 

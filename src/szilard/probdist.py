@@ -569,11 +569,9 @@ def explicit_of(
     weight a, and is copied whole into place. Where every class is
     positive the table holds every outcome and carries no index array.
     Where the exact class counts are known, the table's ``levels`` come
-    from the n + 1 class probabilities, so the table is never sorted: its
-    distinct probabilities are those of the classes, and each one's count
-    is the sum of its classes' counts. Positive class probabilities that
-    are strictly monotone in k are distinct and already in order, so they
-    are read as they are; others go through ``np.unique``.
+    from the n + 1 class probabilities, so the table is never sorted:
+    ``np.unique`` over the classes gives its distinct probabilities, and
+    each one's count is the sum of its classes' counts.
     """
     if isinstance(dist, ExplicitDistribution):
         return dist
@@ -594,13 +592,9 @@ def explicit_of(
         keep = probs > 0.0
         table = ExplicitDistribution(view.n, _freeze(np.flatnonzero(keep)), _freeze(probs[keep]))
     if view.class_count is not None:
-        run = _monotone_run(class_p, support)
-        if run is None:
-            p, level = np.unique(class_p[support], return_inverse=True)
-            count = np.zeros(p.size, dtype=np.int64)
-            np.add.at(count, level, view.class_count[support].astype(np.int64))
-        else:
-            p, count = np.ascontiguousarray(class_p[run][::-1]), view.class_count[run][::-1]
+        p, level = np.unique(class_p[support], return_inverse=True)
+        count = np.zeros(p.size, dtype=np.int64)
+        np.add.at(count, level, view.class_count[support].astype(np.int64))
         vars(table)["levels"] = _table_spectrum(view.n, p, count)
     return table
 

@@ -1,8 +1,7 @@
 """The type-class path against its reference builds, float for float.
 
 ``to_type_classes`` takes a point mass as one term, ``TypeClassView.levels``
-reads monotone classes in order, ``explicit_of`` reads monotone class
-probabilities without ``np.unique``, and ``entropy._cut`` starts its scan
+reads monotone classes in order, and ``entropy._cut`` starts its scan
 where the prefix mass first exceeds eps. ``util`` keeps the builds that do
 none of this; every array and figure must match them in ``float.hex``.
 """
@@ -165,8 +164,9 @@ def test_explicit_of_levels_match_the_unique_path(q, kind):
         spectra_match(explicit_of(source).levels, reference_table_levels(to_type_classes(source)))
 
 
-def test_explicit_of_reads_monotone_classes_in_order():
-    # q != 1/2 alone is monotone either way round; ties and turns are not
+def test_monotone_run_finds_strictly_monotone_classes():
+    # the run TypeClassView.levels reads as it is: q != 1/2 alone is
+    # monotone either way round; ties and turns are not
     for q, monotone in ((0.3, True), (0.7, True), (0.5, False)):
         class_p = np.exp2(to_type_classes(bernoulli_product(q, 12)).class_log_prob)
         assert (_monotone_run(class_p, class_p > 0.0) is not None) == monotone

@@ -404,6 +404,9 @@ def test_cli_error_envelope_missing_spec(capsys):
         (["entropy", "--spec-file", "{tmp}/missing.txt"], "UnreadableSpecFile"),
         (["entropy", "--spec-file", "{tmp}"], "UnreadableSpecFile"),
         (["entropy", "--spec-file", "{tmp}/latin1.txt"], "UnreadableSpecFile"),
+        # spec integers are ASCII digits: a superscript or an Arabic-Indic digit is no integer
+        (["entropy", "--spec", "bernoulli(0.5)^\u00b2"], "ParseError"),
+        (["entropy", "--spec", "uniform^\u0663"], "ParseError"),
         # command lines argparse rejects
         (["game", "--spec", "uniform^2", "--strategy", "foo"], "UsageError"),
         (["entropy", "--spec", "uniform^2", "--epsilon", "abc"], "UsageError"),
@@ -439,6 +442,19 @@ def test_mixture_specs_match_the_golden_stdout(capsys):
         captured = capsys.readouterr()
         assert captured.out == want["stdout"], label
         assert captured.err == "", label
+
+
+def test_every_command_and_format_matches_the_golden_output(capsys):
+    # the CSV of entropy, work and game (an empty max_work at eps 0, a gambler
+    # bet), table1 and figure3 in both formats, the hidden oracle command, and
+    # the stderr envelopes of parse and argument errors, byte for byte
+    golden = json.loads((Path(__file__).resolve().parent / "cli_format_goldens.json").read_text())
+    assert len(golden) == 41
+    for label, want in golden.items():
+        assert main(list(want["argv"])) == want["exit_code"], label
+        captured = capsys.readouterr()
+        assert captured.out == want["stdout"], label
+        assert captured.err == want["stderr"], label
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -436,19 +436,19 @@ def test_game_on_an_explicit_table_builds_no_dense_permutation(monkeypatch):
     assert check_inequalities(d, s, exact, 1e-3, 1.0) == []
     work_bounds(d, 1e-3, 1.0)
     assert sorts == []  # the table took its levels from its type classes
-    # a gambler op on a fresh table: class probabilities monotone in k are
-    # read in order and nothing is sorted; classes whose probabilities turn
-    # (a U-shaped mixture) are sorted, but only their n + 1 values; no ranks
-    # are built either way
+    # a gambler op on a fresh table: its levels take one sort of the n + 1
+    # class probabilities, whether they are monotone in k or turn (a
+    # U-shaped mixture); the table itself is never sorted and no ranks are
+    # built
     turning = mixture([0.5, 0.5], [bernoulli_product(0.3, 11), bernoulli_product(0.8, 11)])
-    for source, sorted_classes in ((bernoulli_product(0.6, 11), False), (turning, True)):
+    for source in (bernoulli_product(0.6, 11), turning):
         sorts.clear()
         g_table = explicit_of(source)
         g = build_gambler_strategy(g_table, 4, 1.0)
         g_exact = exact_evaluate(g_table, g)
         monte_carlo(g_table, g, GameConfig(seed=6, n_samples=20_000))
         assert check_inequalities(g_table, g, g_exact, 1e-3, 1.0) == []
-        assert bool(sorts) == sorted_classes and max(sorts, default=0) <= 11 + 1
+        assert sorts == [11 + 1]
     monkeypatch.setattr(compress, "_dense_permutation", dense)
     monkeypatch.setattr(compress, "_canonical_ranks", ranks)
     # the lazily built relabeling is the one the ranks describe

@@ -90,6 +90,15 @@ def test_relabeled_game_eval_matches_exhaustive_enumeration(rng):
         assert mine.expected_work == pytest.approx(ref.expected_work, abs=1e-12)
 
 
+def test_both_game_evaluators_return_plain_floats(rng):
+    d = random_explicit(rng, 4)
+    perm = rng.permutation(16).astype(np.int64)
+    for play in (relabeled_game_eval, exhaustive_game_eval):
+        result = play(d, perm, ((0, 1), (2, 0)), 2.0)
+        assert type(result.success_prob) is float, play.__name__
+        assert type(result.expected_work) is float, play.__name__
+
+
 def test_relabeled_game_eval_rejects_bad_bets():
     d = explicit_of(uniform_product(2))
     perm = canonical_permutation(d).permutation
