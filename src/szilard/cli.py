@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -45,11 +46,6 @@ from .errors import (
     WeightSumError,
 )
 from .rng import make_rng
-
-DEFAULT_EPSILON = 1e-3
-DEFAULT_TEMPERATURE = 300.0
-DEFAULT_SAMPLES = 100_000
-DEFAULT_SEED = 0
 
 
 # ---------------------------------------------------------------- spec AST
@@ -441,11 +437,6 @@ def _read_spec(args) -> str:
     raise SzilardError("one of --spec or --spec-file is required")
 
 
-def _add_spec_flags(sub):
-    sub.add_argument("--spec", help="distribution spec text")
-    sub.add_argument("--spec-file", help="file containing the spec text")
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     """Usage errors are input errors, reported in the JSON envelope with exit
     code 1; subparsers are built from the same class."""
@@ -454,53 +445,52 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+#: every flag once, with its argparse keywords; game defaults are GameConfig's
+_FLAGS = {
+    "--spec": {"help": "distribution spec text"},
+    "--spec-file": {"help": "file containing the spec text"},
+    "--p": {"type": float, "default": 0.7},
+    "--epsilon": {"type": float, "default": game.GameConfig.epsilon},
+    "--temperature-kelvin": {"type": float, "default": game.GameConfig.temperature},
+    "--seed": {"type": int, "default": game.GameConfig.seed},
+    "--samples": {"type": int, "default": game.GameConfig.n_samples},
+    "--strategy": {"choices": ["riskfree", "gambler"], "default": "riskfree"},
+    "--bet-size": {"type": int},
+    "--n": {"type": int, "default": 1000},
+    "--n-list": {"default": "100,200,400,800,1600"},
+}
+
+#: every command once: its help (None hides it), its default --format (None
+#: for JSON only, without the flag) and its other flags in --help order
+_COMMANDS = {
+    "entropy": ("entropy report for a distribution spec", "json", "--spec --spec-file --epsilon"),
+    "work": ("risk-free and gambling work figures", "json",
+             "--spec --spec-file --epsilon --temperature-kelvin"),
+    "game": ("play the extraction game: exact + Monte Carlo", "json",
+             "--spec --spec-file --epsilon --temperature-kelvin "
+             "--seed --samples --strategy --bet-size"),
+    "table1": ("benchmark work-value table (four families)", "csv",
+               "--epsilon --temperature-kelvin --n"),
+    "figure3": ("entropy convergence scan over n", "csv", "--p --epsilon --n-list"),
+    "oracle": (None, None, "--spec --spec-file --epsilon --seed"),  # brute-force cross-check
+}
+
+
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on first use and shared by every later call."""
     top = _ArgumentParser(
         prog="szilard",
         description="Smooth entropies and work extraction for two-state boxes.",
     )
-    subs = top.add_subparsers(
-        dest="command", required=True, metavar="{entropy,work,game,table1,figure3}"
-    )
-
-    p = subs.add_parser("entropy", help="entropy report for a distribution spec")
-    _add_spec_flags(p)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-
-    p = subs.add_parser("work", help="risk-free and gambling work figures")
-    _add_spec_flags(p)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--temperature-kelvin", type=float, default=DEFAULT_TEMPERATURE)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-
-    p = subs.add_parser("game", help="play the extraction game: exact + Monte Carlo")
-    _add_spec_flags(p)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--temperature-kelvin", type=float, default=DEFAULT_TEMPERATURE)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--strategy", choices=["riskfree", "gambler"], default="riskfree")
-    p.add_argument("--bet-size", type=int, default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-
-    p = subs.add_parser("table1", help="benchmark work-value table (four families)")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--temperature-kelvin", type=float, default=DEFAULT_TEMPERATURE)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--format", choices=["json", "csv"], default="csv")
-
-    p = subs.add_parser("figure3", help="entropy convergence scan over n")
-    p.add_argument("--p", type=float, default=0.7)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--n-list", default="100,200,400,800,1600")
-    p.add_argument("--format", choices=["json", "csv"], default="csv")
-
-    p = subs.add_parser("oracle")  # hidden: brute-force cross-check
-    _add_spec_flags(p)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
+    listed = [name for name, (help_text, _, _) in _COMMANDS.items() if help_text]
+    subs = top.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(listed))
+    for name, (help_text, form, flags) in _COMMANDS.items():
+        p = subs.add_parser(name, **({"help": help_text} if help_text else {}))
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        if form:
+            p.add_argument("--format", choices=["json", "csv"], default=form)
     return top
 
 
