@@ -281,14 +281,15 @@ def _cut(s: Spectrum, prefix_mass: np.ndarray, eps: float) -> int:
     is only taken from there as far as the cut: the levels before the start
     are folded by ``np.logaddexp2.reduce``, and the rest scanned in chunks
     of doubling length, each chunk's accumulate started from the last value
-    before it. A ufunc reduce and accumulate are the same left fold, so
-    every float, and with it m, is the one a single accumulate over all
-    levels gives.
+    before it. The reduce starts from the first level, not from its
+    identity -inf (which turns a -0.0 into +0.0), so it is the same left
+    fold as accumulate, and every float, and with it m, is the one a single
+    accumulate over all levels gives.
     """
     size = s.log_p.size
     start = int(np.searchsorted(prefix_mass, eps, side="right"))
     width = _CUT_CHUNK
-    acc = np.logaddexp2.reduce(s.log_count[:start]) if start else None
+    acc = np.logaddexp2.reduce(s.log_count[1:start], initial=s.log_count[0]) if start else None
     while True:
         stop = min(start + width, size)
         counts = s.log_count[start:stop]
