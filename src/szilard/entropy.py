@@ -126,12 +126,13 @@ def shannon(dist: Distribution) -> float:
     keeps its error near 1e-11 bits at n = 1e5.
     """
     s = spectrum(dist)
-    return -float(np.sum(s.mass * s.log_p))
+    # 0.0 - x is -x except at a zero, which it makes +0.0 (a point mass's)
+    return 0.0 - float(np.sum(s.mass * s.log_p))
 
 
 def h_min(dist: Distribution) -> float:
     """-log2 of the largest outcome probability."""
-    return -float(spectrum(dist).log_p[0])
+    return 0.0 - float(spectrum(dist).log_p[0])
 
 
 def h_max(dist: Distribution) -> float:
@@ -263,7 +264,7 @@ def _solve_min(s: Spectrum, eps: float) -> tuple[SmoothedMin, float | None]:
             log_lam = math.log2(lam)
         else:
             log_lam = math.log2(slack) - logsumexp2(s.log_count[:m])
-    return SmoothedMin(-log_lam, CutLevel(log_lam, eps), None), lam
+    return SmoothedMin(0.0 - log_lam, CutLevel(log_lam, eps), None), lam
 
 
 #: levels in the first chunk ``_cut`` scans; each later chunk doubles

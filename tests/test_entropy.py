@@ -72,6 +72,22 @@ def test_shannon_point_mass():
     assert shannon(make_explicit(1, [("L", 1.0)])) == 0.0
 
 
+@pytest.mark.parametrize(
+    "dist",
+    [
+        make_explicit(1, [("L", 1.0)]),
+        probdist.point_mass("LRRL"),
+        bernoulli_product(1.0, 4),
+        bernoulli_product(0.0, 30),
+        mixture([0.5, 0.5], [bernoulli_product(0.0, 4), bernoulli_product(0.0, 4)]),
+    ],
+)
+def test_zero_entropies_of_a_point_mass_are_positive_zeros(dist):
+    # -0.0 == 0.0, so only the sign bit tells them apart
+    for value in (shannon(dist), h_min(dist), h_min_smooth(dist, 0.0), h_max(dist)):
+        assert float(value).hex() == "0x0.0p+0"
+
+
 def test_h_min_of_worked_example():
     assert h_min(pex()) == 1.0
 
