@@ -21,6 +21,9 @@ from .game import ExactResult
 from .probdist import ExplicitDistribution, _as_permutation
 
 _SUBSET_CHUNK = 1 << 16
+#: cut levels on ``brute_hmin_smooth``'s grid, and its random ball members
+_GRID_POINTS = 10_000
+_BALL_SAMPLES = 10_000
 
 
 def brute_hmax_smooth(dist: ExplicitDistribution, eps: float) -> float:
@@ -46,8 +49,6 @@ def brute_hmin_smooth(
     dist: ExplicitDistribution,
     eps: float,
     rng: np.random.Generator | None = None,
-    grid_points: int = 10_000,
-    n_samples: int = 10_000,
 ) -> float:
     """Best -log2(peak) found by a cut-level grid plus random ball members.
 
@@ -61,7 +62,7 @@ def brute_hmin_smooth(
     pmax = float(p.max())
     best = -math.log2(pmax)
 
-    levels = np.linspace(pmax / grid_points, pmax, grid_points)
+    levels = np.linspace(pmax / _GRID_POINTS, pmax, _GRID_POINTS)
     shaved = np.minimum(p[None, :], levels[:, None])
     feasible = (p[None, :] - shaved).sum(axis=1) <= eps
     if feasible.any():
@@ -69,9 +70,9 @@ def brute_hmin_smooth(
         best = max(best, float(-np.log2(peaks.min())))
 
     if rng is not None and eps > 0.0:
-        raw = rng.random((n_samples, s))
+        raw = rng.random((_BALL_SAMPLES, s))
         raw /= raw.sum(axis=1, keepdims=True)
-        removals = np.minimum(raw * (eps * rng.random((n_samples, 1))), p[None, :])
+        removals = np.minimum(raw * (eps * rng.random((_BALL_SAMPLES, 1))), p[None, :])
         peaks = (p[None, :] - removals).max(axis=1)
         best = max(best, float(-np.log2(peaks.min())))
     return best
