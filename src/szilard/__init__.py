@@ -14,9 +14,7 @@ __version__ = "0.1.0"
 from .compress import (
     BitInfo,
     CompressionPlan,
-    apply_cnot,
     apply_plan,
-    bennett_work,
     bit_profile,
     canonical_permutation,
 )
@@ -66,13 +64,9 @@ from .probdist import (
     bernoulli_product,
     explicit_of,
     make_explicit,
-    marginal,
     mixture,
     point_mass,
-    sample,
     sample_indices,
-    statistical_distance,
-    tensor,
     to_type_classes,
     uniform_product,
 )

@@ -5,6 +5,8 @@ just a permutation of outcome indices. The canonical compression sorts
 outcomes by descending probability so all support mass lands on the lowest
 indices; the leading boxes then read L with certainty and can be harvested
 for work, while the randomness is squeezed into the trailing boxes.
+``bit_profile`` labels each box known, biased or uniform; Bennett's figure
+read off that profile is a reference in ``oracle``.
 """
 from __future__ import annotations
 
@@ -13,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BiasedBitsPresent, IndexOutOfRange, SamePosition
-from .probdist import (
-    ExplicitDistribution,
-    _check_cap,
-    _from_arrays,
-    _sorted_table,
-    apply_permutation,
-)
+from .probdist import ExplicitDistribution, _check_cap, _sorted_table, apply_permutation
 
 #: |marginal(bit=1) - 1/2| below this counts as uniform (explicit-path floats)
 UNIFORMITY_TOL = 1e-12
@@ -122,27 +117,3 @@ def _dense_permutation(dist: ExplicitDistribution, ranks: np.ndarray) -> np.ndar
 
 def apply_plan(dist: ExplicitDistribution, plan: CompressionPlan) -> ExplicitDistribution:
     return apply_permutation(dist, plan.permutation)
-
-
-def bennett_work(profile: tuple[BitInfo, ...], c: float) -> float:
-    """(n - #uniform) * c for profiles with no biased boxes.
-
-    Applies only when every box is fully known or fully unknown; a biased
-    box means the risk-free / gambling bounds must be used instead.
-    """
-    if any(b.kind == BIASED for b in profile):
-        raise BiasedBitsPresent("profile contains biased boxes")
-    n_unknown = sum(1 for b in profile if b.kind == UNIFORM)
-    return (len(profile) - n_unknown) * c
-
-
-def apply_cnot(dist: ExplicitDistribution, control: int, target: int) -> ExplicitDistribution:
-    """Flip the target box content wherever the control box reads R."""
-    if control == target:
-        raise SamePosition(f"control and target are both {control}")
-    for pos in (control, target):
-        if not 0 <= pos < dist.n:
-            raise IndexOutOfRange(f"position {pos} outside [0, {dist.n})")
-    control_bit = (dist.indices >> (dist.n - 1 - control)) & 1
-    new_indices = dist.indices ^ (control_bit << (dist.n - 1 - target))
-    return _from_arrays(dist.n, new_indices, dist.probs)

@@ -33,10 +33,6 @@ class MixedArity(SzilardError):
     pass
 
 
-class EmptySubset(SzilardError):
-    pass
-
-
 class IndexOutOfRange(SzilardError):
     pass
 
@@ -54,10 +50,6 @@ class BadEpsilon(SzilardError):
 
 
 class BiasedBitsPresent(SzilardError):
-    pass
-
-
-class SamePosition(SzilardError):
     pass
 
 

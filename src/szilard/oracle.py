@@ -6,7 +6,10 @@ of the greedy tail cut, grid/rejection sampling instead of the exact cut
 solve, full microstate enumeration instead of support arithmetic, and raw
 search over every permutation/bet/guess instead of the compress-and-bet
 construction, and every position subset and guess instead of the closed-form
-gambler bet. Slow by design, trustworthy by construction.
+gambler bet. Two references check figures the fast paths read otherwise:
+the smoothing ball's distance, which each smoothing witness must keep within
+eps, and Bennett's figure from the compressed box profile, which the CLI
+reads off the spectrum. Slow by design, trustworthy by construction.
 """
 from __future__ import annotations
 
@@ -16,7 +19,8 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .errors import InvalidBets, TooLarge
+from .compress import BIASED, UNIFORM, BitInfo
+from .errors import ArityMismatch, BiasedBitsPresent, InvalidBets, TooLarge
 from .game import ExactResult
 from .probdist import ExplicitDistribution, _as_permutation
 
@@ -60,22 +64,51 @@ def brute_hmin_smooth(
         raise TooLarge(f"support {s} > 20")
     p = dist.probs
     pmax = float(p.max())
-    best = -math.log2(pmax)
+    # 0.0 - x is -x except at a zero, which it makes +0.0 (a point mass's)
+    best = 0.0 - math.log2(pmax)
 
     levels = np.linspace(pmax / _GRID_POINTS, pmax, _GRID_POINTS)
     shaved = np.minimum(p[None, :], levels[:, None])
     feasible = (p[None, :] - shaved).sum(axis=1) <= eps
     if feasible.any():
         peaks = shaved[feasible].max(axis=1)
-        best = max(best, float(-np.log2(peaks.min())))
+        best = max(best, float(0.0 - np.log2(peaks.min())))
 
     if rng is not None and eps > 0.0:
         raw = rng.random((_BALL_SAMPLES, s))
         raw /= raw.sum(axis=1, keepdims=True)
         removals = np.minimum(raw * (eps * rng.random((_BALL_SAMPLES, 1))), p[None, :])
         peaks = (p[None, :] - removals).max(axis=1)
-        best = max(best, float(-np.log2(peaks.min())))
+        best = max(best, float(0.0 - np.log2(peaks.min())))
     return best
+
+
+def statistical_distance(p: ExplicitDistribution, q: ExplicitDistribution) -> float:
+    """Mass removed from p relative to q: sum over x of max(p(x) - q(x), 0).
+
+    q may be subnormalized; this is the distance the smoothing ball uses,
+    and every smoothing witness must lie within eps of its table.
+    """
+    if p.n != q.n:
+        raise ArityMismatch(f"distributions on {p.n} and {q.n} boxes")
+    union = np.union1d(p.indices, q.indices)
+    pv = np.zeros(union.size)
+    qv = np.zeros(union.size)
+    pv[np.searchsorted(union, p.indices)] = p.probs
+    qv[np.searchsorted(union, q.indices)] = q.probs
+    return float(np.maximum(pv - qv, 0.0).sum())
+
+
+def bennett_work(profile: tuple[BitInfo, ...], c: float) -> float:
+    """(n - #uniform) * c for profiles with no biased boxes.
+
+    Applies only when every box is fully known or fully unknown; a biased
+    box means the risk-free / gambling bounds must be used instead.
+    """
+    if any(b.kind == BIASED for b in profile):
+        raise BiasedBitsPresent("profile contains biased boxes")
+    n_unknown = sum(1 for b in profile if b.kind == UNIFORM)
+    return (len(profile) - n_unknown) * c
 
 
 def _check_bets(n: int, bets: tuple[tuple[int, int], ...]):

@@ -25,9 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    ArityMismatch,
     BadOutcomeLength,
-    EmptySubset,
     IndexOutOfRange,
     MixedArity,
     NegativeProbability,
@@ -184,28 +182,12 @@ class ExplicitDistribution:
     def total(self) -> float:
         return float(self.probs.sum())
 
-    def prob_of(self, outcome: Outcome | int | str) -> float:
-        idx = _as_index(outcome, self.n)
-        pos = np.searchsorted(self.indices, idx)
-        if pos < self.indices.size and self.indices[pos] == idx:
-            return float(self.probs[pos])
-        return 0.0
-
     def items(self) -> Iterable[tuple[Outcome, float]]:
         for idx, p in zip(self.indices.tolist(), self.probs.tolist()):
             yield Outcome.from_index(idx, self.n), p
 
     def as_dict(self) -> dict[str, float]:
         return {str(o): p for o, p in self.items()}
-
-    def same_table(self, other: "ExplicitDistribution", tol: float = 0.0) -> bool:
-        return (
-            self.n == other.n
-            and self.support_size == other.support_size
-            # two tables that hold every outcome share their indices
-            and (self.support_size == 1 << self.n or np.array_equal(self.indices, other.indices))
-            and bool(np.all(np.abs(self.probs - other.probs) <= tol))
-        )
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -332,16 +314,6 @@ def point_mass(outcome: Outcome | str) -> ExplicitDistribution:
     return _from_arrays(o.n, np.array([o.index]), np.array([1.0]))
 
 
-def tensor(p: ExplicitDistribution, q: ExplicitDistribution) -> ExplicitDistribution:
-    """Independent combination: box strings concatenate, probabilities multiply."""
-    n = p.n + q.n
-    _check_cap(n)
-    # block layout keeps indices sorted: p-index picks the block, q-index the offset
-    idx = (p.indices[:, None] << q.n | q.indices[None, :]).ravel()
-    pr = (p.probs[:, None] * q.probs[None, :]).ravel()
-    return _sorted_table(n, idx, pr)
-
-
 @dataclass(frozen=True)
 class MixtureOfProducts:
     """Convex mixture of i.i.d. Bernoulli product distributions on n boxes.
@@ -427,9 +399,6 @@ class TypeClassView:
     class_log_prob: np.ndarray
     class_log_count: np.ndarray
     class_count: np.ndarray | None = None
-
-    def class_log_mass(self) -> np.ndarray:
-        return self.class_log_prob + self.class_log_count
 
     def support_classes(self) -> np.ndarray:
         return np.isfinite(self.class_log_prob)
@@ -599,24 +568,6 @@ def explicit_of(
     return table
 
 
-def marginal(p: ExplicitDistribution, positions: Sequence[int]) -> ExplicitDistribution:
-    """Marginal distribution on the given box positions (ascending order)."""
-    pos = sorted(set(int(i) for i in positions))
-    if not pos:
-        raise EmptySubset("marginal needs at least one position")
-    if pos[0] < 0 or pos[-1] >= p.n:
-        raise IndexOutOfRange(f"positions {pos} outside [0, {p.n})")
-    m = len(pos)
-    sub = np.zeros_like(p.indices)
-    for out_bit, in_pos in enumerate(pos):
-        bit = (p.indices >> (p.n - 1 - in_pos)) & 1
-        sub |= bit << (m - 1 - out_bit)
-    uniq, inverse = np.unique(sub, return_inverse=True)
-    acc = np.zeros(uniq.size)
-    np.add.at(acc, inverse, p.probs)
-    return _from_arrays(m, uniq, acc)
-
-
 def _as_permutation(permutation, n: int) -> np.ndarray:
     """``permutation``, an integer array, as int64, checked to be a bijection
     on the 2^n outcome indices."""
@@ -632,42 +583,6 @@ def _as_permutation(permutation, n: int) -> np.ndarray:
 def apply_permutation(p: ExplicitDistribution, permutation: np.ndarray) -> ExplicitDistribution:
     """Relabel outcomes: new index of outcome x is permutation[x]."""
     return _from_arrays(p.n, _as_permutation(permutation, p.n)[p.indices], p.probs)
-
-
-def statistical_distance(p: ExplicitDistribution, q: ExplicitDistribution) -> float:
-    """Mass removed from p relative to q: sum over x of max(p(x) - q(x), 0).
-
-    q may be subnormalized; this is the distance the smoothing ball uses.
-    """
-    if p.n != q.n:
-        raise ArityMismatch(f"distributions on {p.n} and {q.n} boxes")
-    union = np.union1d(p.indices, q.indices)
-    pv = np.zeros(union.size)
-    qv = np.zeros(union.size)
-    pv[np.searchsorted(union, p.indices)] = p.probs
-    qv[np.searchsorted(union, q.indices)] = q.probs
-    return float(np.maximum(pv - qv, 0.0).sum())
-
-
-def sample(
-    dist: ExplicitDistribution | MixtureOfProducts | TypeClassView,
-    rng: np.random.Generator,
-) -> Outcome:
-    """One outcome drawn from ``dist``; deterministic given the generator state.
-
-    Type-class views draw a Hamming-weight class by its total mass and then
-    a uniformly random member of the class.
-    """
-    if isinstance(dist, ExplicitDistribution):
-        return Outcome.from_index(int(sample_indices(dist, rng, 1)[0]), dist.n)
-    view = to_type_classes(dist) if isinstance(dist, MixtureOfProducts) else dist
-    masses = np.exp2(view.class_log_mass())
-    masses = np.where(np.isfinite(view.class_log_prob), masses, 0.0)
-    k = int(rng.choice(view.n + 1, p=masses / masses.sum()))
-    bits = [0] * view.n
-    for pos in rng.choice(view.n, size=k, replace=False):
-        bits[int(pos)] = 1
-    return Outcome(tuple(bits))
 
 
 def sample_indices(

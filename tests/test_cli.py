@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from szilard import (
     ExplicitDistribution,
     MixtureOfProducts,
-    bennett_work,
     canonical_permutation,
     compress,
     probdist,
@@ -33,8 +32,9 @@ from szilard.cli import (
 )
 from szilard.compress import BIASED
 from szilard.errors import ArityMismatch, ParseError, WeightSumError
+from szilard.oracle import bennett_work
 
-from util import random_explicit
+from util import prob_of, random_explicit
 
 C300_EV = 0.0179192407638041
 
@@ -98,8 +98,8 @@ def test_parse_arity_mismatch():
 def test_mix_of_non_product_terms_becomes_explicit():
     d = to_distribution(parse_spec("mix(0.5: det(LRL), 0.5: uniform^3)"))
     assert isinstance(d, ExplicitDistribution)
-    assert d.prob_of("LRL") == pytest.approx(0.5 + 0.5 / 8)
-    assert d.prob_of("LLL") == pytest.approx(0.5 / 8)
+    assert prob_of(d, "LRL") == pytest.approx(0.5 + 0.5 / 8)
+    assert prob_of(d, "LLL") == pytest.approx(0.5 / 8)
 
 
 _terms = st.one_of(
@@ -520,6 +520,12 @@ def test_cli_hidden_oracle_command(capsys):
     assert code == 0
     assert out["brute_h_max_smooth"] == out["greedy_h_max_smooth"]
     assert out["brute_h_min_smooth"] <= out["greedy_h_min_smooth"] + 1e-6
+
+
+def test_cli_oracle_prints_a_point_mass_zero_as_0(capsys):
+    main(["oracle", "--spec", "det(LR)", "--epsilon", "0"])
+    value = json.loads(capsys.readouterr().out)["brute_h_min_smooth"]
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_cli_oracle_agrees_where_the_budget_buys_whole_outcomes(capsys):

@@ -4,29 +4,19 @@ import numpy as np
 import pytest
 
 from szilard import (
-    apply_cnot,
     apply_plan,
-    bennett_work,
     bernoulli_product,
     bit_profile,
     canonical_permutation,
     explicit_of,
-    h_max,
     make_explicit,
     point_mass,
-    riskfree_work,
-    shannon,
     smooth_report,
     uniform_product,
 )
 from szilard import compress, probdist
 from szilard.compress import BIASED, KNOWN, UNIFORM, BitInfo
-from szilard.errors import (
-    BiasedBitsPresent,
-    IndexOutOfRange,
-    SamePosition,
-    SupportOverflow,
-)
+from szilard.errors import SupportOverflow
 from szilard.probdist import apply_permutation
 
 from util import random_explicit
@@ -34,33 +24,6 @@ from util import random_explicit
 
 def correlated_pair():
     return make_explicit(2, [("LL", 0.5), ("RR", 0.5)])
-
-
-# -------------------------------------------------------------------- cnot
-
-
-def test_cnot_moves_randomness_to_target():
-    d = apply_cnot(correlated_pair(), 0, 1)
-    assert d.as_dict() == pytest.approx({"LL": 0.5, "RL": 0.5})
-
-
-def test_cnot_is_an_involution(rng):
-    d = random_explicit(rng, 3)
-    again = apply_cnot(apply_cnot(d, 1, 2), 1, 2)
-    assert again.same_table(d)
-
-
-def test_cnot_preserves_shannon(rng):
-    d = random_explicit(rng, 3)
-    assert shannon(apply_cnot(d, 0, 2)) == shannon(d)
-
-
-def test_cnot_argument_errors():
-    d = correlated_pair()
-    with pytest.raises(SamePosition):
-        apply_cnot(d, 1, 1)
-    with pytest.raises(IndexOutOfRange):
-        apply_cnot(d, 0, 2)
 
 
 # ------------------------------------------------------------- compression
@@ -248,41 +211,3 @@ def test_biased_bit_appears_for_iid_bernoulli():
     d = explicit_of(bernoulli_product(0.7, 2))
     compressed = apply_plan(d, canonical_permutation(d))
     assert any(b.kind == BIASED for b in bit_profile(compressed))
-
-
-# ----------------------------------------------------------------- bennett
-
-
-def test_bennett_work_on_known_uniform_profile():
-    plan = canonical_permutation(correlated_pair())
-    assert bennett_work(plan.profile, 1.0) == 1.0
-
-
-def test_bennett_all_known():
-    d = make_explicit(3, [("LLL", 1.0)])
-    assert bennett_work(bit_profile(d), 2.5) == 3 * 2.5
-
-
-def test_bennett_rejects_biased_bits():
-    d = explicit_of(bernoulli_product(0.7, 2))
-    with pytest.raises(BiasedBitsPresent):
-        bennett_work(bit_profile(d), 1.0)
-
-
-def test_bennett_matches_riskfree_work_at_zero_epsilon():
-    # compressed distributions whose boxes are all known or uniform
-    cases = [
-        correlated_pair(),
-        make_explicit(3, [("LLL", 1.0)]),
-        explicit_of(bernoulli_product(0.5, 3)),
-        make_explicit(3, [(i, 0.25) for i in range(4)]),
-        make_explicit(3, [(0, 0.4), (1, 0.1), (2, 0.1), (3, 0.4)]),
-    ]
-    for d in cases:
-        plan = canonical_permutation(d)
-        compressed = apply_plan(d, plan)
-        profile = bit_profile(compressed)
-        if any(b.kind == BIASED for b in profile):
-            continue
-        assert bennett_work(profile, 1.0) == riskfree_work(d, 0.0, 1.0).bits
-        assert bennett_work(profile, 1.0) == d.n - h_max(d)

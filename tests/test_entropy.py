@@ -27,12 +27,11 @@ from szilard import (
     shannon,
     smooth_report,
     spectrum,
-    statistical_distance,
     uniform_product,
     work_bounds,
 )
 from szilard.errors import BadEpsilon
-from szilard.oracle import brute_hmax_smooth, brute_hmin_smooth
+from szilard.oracle import brute_hmax_smooth, brute_hmin_smooth, statistical_distance
 from szilard.rng import make_rng
 
 from util import random_explicit, random_mixture_params

@@ -49,7 +49,7 @@ from szilard.game import (
 from szilard.rng import make_rng
 from szilard.oracle import _match_mask, exhaustive_gambler_search, relabeled_game_eval
 
-from util import draw_by_draw, estimate, random_explicit, sorted_draws, sorted_picks
+from util import draw_by_draw, estimate, random_explicit, same_table, sorted_draws, sorted_picks
 
 C300_J = 2.870978885078724e-21
 C300_EV = 0.0179192407638041
@@ -227,7 +227,7 @@ def test_a_strategy_is_played_only_on_its_own_table():
     # test_plan_and_table_must_have_the_same_box_count)
     d = explicit_of(bernoulli_product(0.7, 6))
     copy = explicit_of(bernoulli_product(0.7, 6))
-    assert copy.same_table(d)
+    assert same_table(copy, d)
     for b in (0, 3, 6):
         s = Strategy(d, b, float(b))
         with pytest.raises(InvalidBets):

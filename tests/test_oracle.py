@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from szilard import (
+    apply_plan,
+    bernoulli_product,
+    bit_profile,
     build_riskfree_strategy,
     canonical_permutation,
     exact_evaluate,
@@ -13,17 +16,28 @@ from szilard import (
     h_min,
     make_explicit,
     point_mass,
+    riskfree_work,
     uniform_product,
 )
-from szilard.errors import InvalidBets, NotBijective, TooLarge
+from szilard.compress import BIASED
+from szilard.errors import (
+    ArityMismatch,
+    BiasedBitsPresent,
+    InvalidBets,
+    NotBijective,
+    TooLarge,
+)
 from szilard.oracle import (
+    bennett_work,
     brute_hmax_smooth,
     brute_hmin_smooth,
     exhaustive_gambler_search,
     exhaustive_game_eval,
     exhaustive_strategy_search,
     relabeled_game_eval,
+    statistical_distance,
 )
+from szilard.probdist import _from_arrays
 from szilard.rng import make_rng
 
 from util import random_explicit
@@ -167,3 +181,72 @@ def test_gambler_search_on_correlated_pair():
 def test_gambler_search_rejects_large_n():
     with pytest.raises(TooLarge):
         exhaustive_gambler_search(point_mass("L" * 13), 1)
+
+
+# -------------------------------------------------------------- distance
+
+
+def test_distance_to_self_is_zero(rng):
+    d = random_explicit(rng, 3)
+    assert statistical_distance(d, d) == 0.0
+
+
+def test_distance_of_worked_example_truncation():
+    pex = make_explicit(3, [(0, 0.5), (1, 0.49998), (2, 1e-5), (3, 1e-5)])
+    truncated = _from_arrays(3, pex.indices[:2], pex.probs[:2])
+    assert statistical_distance(pex, truncated) == pytest.approx(2e-5, rel=1e-9)
+
+
+def test_distance_monotone_under_more_removal(rng):
+    for _ in range(20):
+        d = random_explicit(rng, 3)
+        r1 = d.probs * rng.uniform(0.0, 1.0, size=d.support_size)
+        r2 = r1 * rng.uniform(0.0, 1.0, size=d.support_size)
+        q1 = _from_arrays(3, d.indices, d.probs - r1)
+        q2 = _from_arrays(3, d.indices, d.probs - r2)  # removes less
+        assert statistical_distance(d, q1) >= statistical_distance(d, q2) - 1e-15
+
+
+def test_distance_arity_mismatch():
+    with pytest.raises(ArityMismatch):
+        statistical_distance(
+            make_explicit(1, [("L", 1.0)]), make_explicit(2, [("LL", 1.0)])
+        )
+
+
+# ----------------------------------------------------------------- bennett
+
+
+def test_bennett_work_on_known_uniform_profile():
+    plan = canonical_permutation(make_explicit(2, [("LL", 0.5), ("RR", 0.5)]))
+    assert bennett_work(plan.profile, 1.0) == 1.0
+
+
+def test_bennett_all_known():
+    d = make_explicit(3, [("LLL", 1.0)])
+    assert bennett_work(bit_profile(d), 2.5) == 3 * 2.5
+
+
+def test_bennett_rejects_biased_bits():
+    d = explicit_of(bernoulli_product(0.7, 2))
+    with pytest.raises(BiasedBitsPresent):
+        bennett_work(bit_profile(d), 1.0)
+
+
+def test_bennett_matches_riskfree_work_at_zero_epsilon():
+    # compressed distributions whose boxes are all known or uniform
+    cases = [
+        make_explicit(2, [("LL", 0.5), ("RR", 0.5)]),
+        make_explicit(3, [("LLL", 1.0)]),
+        explicit_of(bernoulli_product(0.5, 3)),
+        make_explicit(3, [(i, 0.25) for i in range(4)]),
+        make_explicit(3, [(0, 0.4), (1, 0.1), (2, 0.1), (3, 0.4)]),
+    ]
+    for d in cases:
+        plan = canonical_permutation(d)
+        compressed = apply_plan(d, plan)
+        profile = bit_profile(compressed)
+        if any(b.kind == BIASED for b in profile):
+            continue
+        assert bennett_work(profile, 1.0) == riskfree_work(d, 0.0, 1.0).bits
+        assert bennett_work(profile, 1.0) == d.n - h_max(d)

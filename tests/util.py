@@ -60,6 +60,31 @@ def sorted_picks(dist: ExplicitDistribution, rng: np.random.Generator, size: int
     return cdf.searchsorted(u, side="right")
 
 
+def same_table(a: ExplicitDistribution, b: ExplicitDistribution, tol: float = 0.0) -> bool:
+    """Whether two tables have the same boxes and support, and probabilities
+    within ``tol``; two tables of every outcome compare no indices."""
+    return (
+        a.n == b.n
+        and a.support_size == b.support_size
+        and (a.support_size == 1 << a.n or np.array_equal(a.indices, b.indices))
+        and bool(np.all(np.abs(a.probs - b.probs) <= tol))
+    )
+
+
+def prob_of(dist: ExplicitDistribution, outcome) -> float:
+    """The probability of one outcome (an L/R string or an ``Outcome``),
+    0.0 off the support."""
+    return dist.as_dict().get(str(outcome), 0.0)
+
+
+def tensor(p: ExplicitDistribution, q: ExplicitDistribution) -> ExplicitDistribution:
+    """The product table of independent ``p`` and ``q``: box strings
+    concatenate, probabilities multiply."""
+    entries = [(i << q.n | j, a * b) for i, a in zip(p.indices.tolist(), p.probs.tolist())
+               for j, b in zip(q.indices.tolist(), q.probs.tolist())]
+    return make_explicit(p.n + q.n, entries)
+
+
 def popcount(values: np.ndarray) -> np.ndarray:
     """Number of set bits per element of a nonnegative integer array."""
     return np.bitwise_count(values).astype(np.int64)
