@@ -11,19 +11,44 @@ from szilard import (
     explicit_of,
     make_explicit,
     point_mass,
+    shannon,
     smooth_report,
     uniform_product,
 )
 from szilard import compress, probdist
 from szilard.compress import BIASED, KNOWN, UNIFORM, BitInfo
-from szilard.errors import SupportOverflow
+from szilard.errors import NotBijective, SupportOverflow
 from szilard.probdist import apply_permutation
 
-from util import random_explicit
+from util import cnot, random_explicit, same_table
 
 
 def correlated_pair():
     return make_explicit(2, [("LL", 0.5), ("RR", 0.5)])
+
+
+# -------------------------------------------------------------------- cnot
+
+
+def test_cnot_moves_randomness_to_target():
+    d = apply_permutation(correlated_pair(), cnot(2, 0, 1))
+    assert d.as_dict() == pytest.approx({"LL": 0.5, "RL": 0.5})
+
+
+def test_cnot_is_an_involution(rng):
+    d = random_explicit(rng, 3)
+    again = apply_permutation(apply_permutation(d, cnot(3, 1, 2)), cnot(3, 1, 2))
+    assert same_table(again, d)
+
+
+def test_cnot_preserves_shannon(rng):
+    d = random_explicit(rng, 3)
+    assert shannon(apply_permutation(d, cnot(3, 0, 2))) == shannon(d)
+
+
+def test_cnot_argument_errors():
+    with pytest.raises(NotBijective):  # a CNOT on 3 boxes relabels no 2-box table
+        apply_permutation(correlated_pair(), cnot(3, 0, 1))
 
 
 # ------------------------------------------------------------- compression

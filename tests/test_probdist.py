@@ -160,6 +160,36 @@ def test_make_explicit_drops_zero_entries():
 # --------------------------------------------------------------- products
 
 
+def test_tensor_of_bernoullis():
+    b = explicit_of(bernoulli_product(0.7, 1))
+    d = tensor(b, b)
+    expected = {"LL": 0.49, "LR": 0.21, "RL": 0.21, "RR": 0.09}
+    assert d.as_dict() == pytest.approx(expected, abs=1e-12)
+    assert same_table(d, explicit_of(bernoulli_product(0.7, 2)), tol=1e-15)
+
+
+def test_tensor_with_point_mass_keeps_support():
+    d = make_explicit(2, [("LL", 0.25), ("LR", 0.75)])
+    t = tensor(d, point_mass("R"))
+    assert t.support_size == d.support_size
+    assert t.n == 3
+
+
+def test_tensor_cap():
+    d = explicit_of(uniform_product(13))
+    with pytest.raises(SupportOverflow):  # make_explicit checks 2^26 before reading entries
+        tensor(d, d)
+
+
+def test_tensor_drops_underflowed_products():
+    a = make_explicit(1, [("L", 1 - 1e-200), ("R", 1e-200)])
+    t = tensor(a, a)  # RR underflows to 0.0
+    assert t.as_dict() == {"LL": (1 - 1e-200) ** 2, "LR": 1e-200, "RL": 1e-200}
+    with np.errstate(divide="raise", invalid="raise"):  # no log2(0) in the levels
+        assert t.support_size == 3 and h_max(t) == math.log2(3)
+        assert np.all(t.levels.p > 0.0)
+
+
 def test_entropies_additive_over_tensor(rng):
     for _ in range(20):
         p = random_explicit(rng, int(rng.integers(1, 4)))
@@ -530,6 +560,15 @@ def test_sample_deterministic_replay():
     seq1 = sample_indices(d, make_rng(7), 1000)
     seq2 = sample_indices(d, make_rng(7), 1000)
     assert np.array_equal(seq1, seq2)
+
+
+def test_view_sampling_matches_class_masses():
+    m = mixture([0.5, 0.5], [bernoulli_product(1.0, 6), bernoulli_product(0.0, 6)])
+    draws = sample_indices(explicit_of(m), make_rng(3), 2000)
+    weights = popcount(draws)
+    assert set(weights.tolist()) == {0, 6}
+    frac0 = float((weights == 0).mean())
+    assert abs(frac0 - 0.5) <= 0.05
 
 
 def test_sampling_a_full_table_reads_no_index_range():

@@ -79,10 +79,18 @@ def prob_of(dist: ExplicitDistribution, outcome) -> float:
 
 def tensor(p: ExplicitDistribution, q: ExplicitDistribution) -> ExplicitDistribution:
     """The product table of independent ``p`` and ``q``: box strings
-    concatenate, probabilities multiply."""
-    entries = [(i << q.n | j, a * b) for i, a in zip(p.indices.tolist(), p.probs.tolist())
-               for j, b in zip(q.indices.tolist(), q.probs.tolist())]
+    concatenate, probabilities multiply. The entries are a generator, so
+    ``make_explicit`` checks the cap before any product is built."""
+    entries = ((i << q.n | j, a * b) for i, a in zip(p.indices.tolist(), p.probs.tolist())
+               for j, b in zip(q.indices.tolist(), q.probs.tolist()))
     return make_explicit(p.n + q.n, entries)
+
+
+def cnot(n: int, control: int, target: int) -> np.ndarray:
+    """The CNOT on n boxes as a relabeling for ``apply_permutation``: the
+    target box's content flips wherever the control box reads R."""
+    x = np.arange(1 << n, dtype=np.int64)
+    return x ^ (((x >> (n - 1 - control)) & 1) << (n - 1 - target))
 
 
 def popcount(values: np.ndarray) -> np.ndarray:
