@@ -333,6 +333,8 @@ def cmd_game(
     bet_size: int | None,
     config: game.GameConfig,
 ) -> dict:
+    if bet_size is not None and strategy_kind != "gambler":
+        raise UsageError("--bet-size applies to --strategy gambler only")
     dist = probdist.explicit_of(to_distribution(parse_spec(spec_text)))
     c = config.work_value
     if strategy_kind == "riskfree":

@@ -36,8 +36,8 @@ class CompressionPlan:
     index of each support entry), the dense permutation of all 2^n indices
     (SupportOverflow over DEFAULT_EXPLICIT_CAP) and the profile
     (``bit_profile`` of the compressed table), each built on first read.
-    The game reads none of them, and other relabelings are played by
-    ``oracle.relabeled_game_eval``.
+    The game reads none of them, only the table's levels and top-K mask;
+    ``oracle.relabeled_game_eval`` plays other relabelings.
     """
 
     def __init__(self, table: ExplicitDistribution):

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .compress import canonical_permutation
 from .entropy import (
     Distribution,
@@ -191,27 +189,24 @@ def work_bounds(dist: Distribution, eps: float, c: float) -> WorkBounds:
     )
 
 
-def _wins(dist: ExplicitDistribution, strategy: Strategy) -> np.ndarray | None:
-    """Which support entries of ``dist`` the strategy wins on, in index order:
-    L on boxes 0..b-1 of the compressed table wins on the 2^(n-b) most likely
-    outcomes, which the table reads off its levels (None when that is the
-    whole support). A strategy is played only on its own table (InvalidBets).
-    """
+def _cell_size(dist: ExplicitDistribution, strategy: Strategy) -> int:
+    """How many outcomes L on boxes 0..b-1 of the compressed table wins on,
+    the 2^(n-b) most likely; a strategy is played on its own table only."""
     if strategy.table is not dist:
         raise InvalidBets("a strategy is played only on the table it was built for")
-    return dist.top(1 << (dist.n - strategy.bet_count))
+    return 1 << (dist.n - strategy.bet_count)
+
+
+def _wins(dist: ExplicitDistribution, strategy: Strategy):
+    """Monte Carlo's win mask, the one a game builds: ``dist.top`` of the cell."""
+    return dist.top(_cell_size(dist, strategy))
 
 
 def exact_evaluate(dist: ExplicitDistribution, strategy: Strategy) -> ExactResult:
-    """Success probability of a strategy and the work it earns in expectation.
-
-    Success is the post-compression marginal probability of the guessed
-    assignment on the bet positions; failure pays nothing. The winning
-    probabilities are summed in index order. A bet that wins on the whole
-    support sums the table itself, the array an all-true mask would copy.
-    """
-    wins = _wins(dist, strategy)
-    success = float((dist.probs if wins is None else dist.probs[wins]).sum())
+    """Success probability of a strategy and the work it earns in expectation:
+    the mass of the 2^(n-b) most likely outcomes, added level by level by
+    ``Spectrum.top`` with no mask; failure pays nothing."""
+    success = dist.levels.top(_cell_size(dist, strategy))[2]
     return ExactResult(success, success * strategy.committed_work)
 
 
@@ -247,11 +242,11 @@ def monte_carlo(
     Plays are i.i.d.; the full committed work is credited on each total
     match. Results are a pure function of (distribution, strategy, seed,
     n_samples), so replay is exact. The plays are the draws of
-    ``sample_indices``, and the wins are those landing in the win mask
-    ``exact_evaluate`` sums. They are counted from the sorted uniforms and
-    the cdf at the mask's edges, the entries where it flips, so no
-    support-sized cdf is held; the count is the number of matching draws,
-    so the rate is the one matching the draws in order gives. A bet that
+    ``sample_indices``, and the wins are those landing in the top-K mask.
+    They are counted from the sorted uniforms and the cdf at the mask's
+    edges, the entries where it flips, so no support-sized cdf is held;
+    the count is the number of matching draws, so the rate is the one
+    matching the draws in order gives. A bet that
     wins on the whole support wins every play, so nothing is drawn: each
     draw picks a support entry, and the generator is the call's own.
     """

@@ -113,6 +113,20 @@ class Spectrum:
         the spectrum at one eps shares one solve."""
         return {}
 
+    def top(self, size: int) -> tuple[int, int, float]:
+        """The boundary level of the ``size`` most likely outcomes, ``rem``
+        (how many of its outcomes they take) and their mass: the levels'
+        ``mass`` above it, then ``rem * p[boundary]``, in one ``np.sum``.
+        Reads ``p``, which tables hold; a size past the support takes all."""
+        cum = np.cumsum(self.count)
+        size = min(size, int(cum[-1]))
+        boundary = int(np.searchsorted(cum, size, side="right"))
+        rem = size - (int(cum[boundary - 1]) if boundary else 0)
+        terms = self.mass[:boundary]
+        if rem:
+            terms = np.append(terms, rem * self.p[boundary])
+        return boundary, rem, float(np.sum(terms))
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class ExplicitDistribution:
@@ -153,20 +167,15 @@ class ExplicitDistribution:
 
     def top(self, size: int) -> np.ndarray | None:
         """Mask of the ``size`` most likely support entries, ties broken by
-        index, or None when that is the whole support.
-
-        Read off the levels without ranking the support: every entry above
-        the boundary level, where the cumulative count first exceeds
-        ``size``, and the first entries of that level in index order, found
-        ``_CHUNK`` entries at a time beside the mask.
-        """
+        index, or None for the whole support: Monte Carlo's wins, and what
+        the H_max^eps witness keeps. Every entry above the ``levels.top``
+        boundary level, and that level's first ``rem`` entries in index
+        order, found ``_CHUNK`` entries at a time."""
         if size >= self.support_size:
             return None
-        cum = np.cumsum(self.levels.count)
-        boundary = int(np.searchsorted(cum, size, side="right"))
+        boundary, rem, _ = self.levels.top(size)
         p = self.levels.p[boundary]
         mask = self.probs > p
-        rem = size - (int(cum[boundary - 1]) if boundary else 0)
         start = 0
         while rem:  # the boundary level holds more than rem entries
             hits = start + np.flatnonzero(self.probs[start : start + _CHUNK] == p)[:rem]
@@ -174,13 +183,6 @@ class ExplicitDistribution:
             rem -= hits.size
             start += _CHUNK
         return mask
-
-    @property
-    def p_max(self) -> float:
-        return float(self.probs.max())
-
-    def total(self) -> float:
-        return float(self.probs.sum())
 
     def items(self) -> Iterable[tuple[Outcome, float]]:
         for idx, p in zip(self.indices.tolist(), self.probs.tolist()):

@@ -184,7 +184,7 @@ def test_h_min_smooth_rejects_epsilon_covering_the_whole_mass():
     with pytest.raises(BadEpsilon):
         h_min_smooth(d, 0.99999999999)
     with pytest.raises(BadEpsilon):
-        h_min_smooth_detail(d, d.total())
+        h_min_smooth_detail(d, float(d.probs.sum()))
 
 
 def test_h_max_smooth_witness_is_in_ball_and_achieves_value(rng):
@@ -227,7 +227,7 @@ def test_h_min_smooth_witness_is_in_ball_and_achieves_value(rng):
         eps = float(rng.uniform(0.0, 0.3))
         detail = h_min_smooth_detail(d, eps)
         assert statistical_distance(d, detail.witness) <= eps + 1e-12
-        assert -math.log2(detail.witness.p_max) == detail.bits
+        assert -math.log2(float(detail.witness.probs.max())) == detail.bits
         assert detail.cut.removed_mass <= eps + 1e-12
 
 
@@ -240,7 +240,7 @@ def test_cut_level_solves_the_removal_equation(rng):
         cut = h_min_smooth_detail(d, eps).cut
         removed = np.maximum(d.probs - cut.level, 0.0).sum()
         assert removed == pytest.approx(eps, abs=1e-9)
-        assert cut.level <= d.p_max + 1e-15
+        assert cut.level <= float(d.probs.max()) + 1e-15
 
 
 # ----------------------------------------------------------- smooth report

@@ -49,7 +49,9 @@ from szilard.game import (
 from szilard.rng import make_rng
 from szilard.oracle import _match_mask, exhaustive_gambler_search, relabeled_game_eval
 
-from util import draw_by_draw, estimate, random_explicit, same_table, sorted_draws, sorted_picks
+from util import (
+    draw_by_draw, estimate, level_sum, random_explicit, same_table, sorted_draws, sorted_picks,
+)
 
 C300_J = 2.870978885078724e-21
 C300_EV = 0.0179192407638041
@@ -275,7 +277,7 @@ def test_gambler_strategy_full_bet_is_modal(rng):
     for _ in range(10):
         d = random_explicit(rng, 4)
         s = build_gambler_strategy(d, 4, 1.0)
-        assert exact_evaluate(d, s).success_prob == pytest.approx(d.p_max, abs=1e-12)
+        assert exact_evaluate(d, s).success_prob == pytest.approx(float(d.probs.max()), abs=1e-12)
 
 
 def test_gambler_strategy_half_deterministic_mixture():
@@ -407,10 +409,12 @@ def test_monte_carlo_equals_the_draw_by_draw_reference(rng):
             if s is None:  # the oracle plays it, and the draws are counted in its mask
                 exact = relabeled_game_eval(d, perm, bets, work)
                 mc = _relabeled_mc(d, hit, work, config)
+                success = float(d.probs[hit].sum())  # the oracle adds in index order
             else:
                 exact, mc = exact_evaluate(d, s), monte_carlo(d, s, config)
+                success = level_sum(d.probs[hit])
             assert mc == draw_by_draw(d, perm, bets, work, config)
-            assert exact.success_prob == float(d.probs[hit].sum())
+            assert exact.success_prob == success
 
 
 def test_game_on_an_explicit_table_builds_no_dense_permutation(monkeypatch):
@@ -593,11 +597,21 @@ def test_monte_carlo_holds_no_support_sized_cdf():
     assert peak < 1.5 * d.probs.nbytes
 
 
-def test_exact_evaluate_holds_one_support_sized_mask():
-    # the 8-box bet wins on the top 2^16 of 2^24 outcomes, part of a level
-    d = explicit_of(bernoulli_product(0.7, 24))
-    s = build_gambler_strategy(d, 8, 1.0)
-    assert _peak_bytes(lambda: exact_evaluate(d, s)) < 20e6
+def test_exact_evaluate_holds_nothing_support_sized(monkeypatch):
+    # the risk-free bet at eps 0.05 wins on 2^21 of 2^22 outcomes, and the
+    # 8-box bet on the top 2^16 of 2^24, part of a level; exact success is
+    # read off the levels, and the table's mask is never asked for
+    small = explicit_of(bernoulli_product(0.7, 22))
+    large = explicit_of(bernoulli_product(0.7, 24))
+    games = [(small, build_riskfree_strategy(small, 0.05, 1.0)),
+             (large, build_gambler_strategy(large, 8, 1.0))]
+
+    def refuse(*args):
+        raise AssertionError("exact_evaluate built the win mask")
+
+    monkeypatch.setattr(probdist.ExplicitDistribution, "top", refuse)
+    for d, s in games:
+        assert _peak_bytes(lambda: exact_evaluate(d, s)) < 1e6
 
 
 def test_monte_carlo_on_plateaus_and_sparse_tables(rng):
@@ -616,10 +630,16 @@ def test_monte_carlo_on_plateaus_and_sparse_tables(rng):
     assert monte_carlo(tiny, s, config) == _draw_by_draw(tiny, s, config)
 
 
-def _rank_path(d, bets, committed_work, config):
-    """Exact success and Monte Carlo matched through the plan's ranks."""
+def _index_sum(probs):
+    return float(probs.sum())
+
+
+def _rank_path(d, bets, committed_work, config, add=level_sum):
+    """Exact success and Monte Carlo matched through the plan's ranks; the
+    winning probabilities are added level by level, as ``exact_evaluate``
+    adds them, or by ``add``."""
     ranks = canonical_permutation(d).ranks
-    success = float(d.probs[_match_mask(ranks, d.n, bets)].sum())
+    success = add(d.probs[_match_mask(ranks, d.n, bets)])
     picks = sorted_picks(d, make_rng(config.seed), config.n_samples)
     mc = estimate(float(_match_mask(ranks[picks], d.n, bets).mean()), committed_work, config)
     return ExactResult(success, success * committed_work), mc
@@ -650,14 +670,14 @@ def test_canonical_bets_win_as_the_rank_path(rng, kind):
             exact = relabeled_game_eval(d, perm, bets, float(len(bets)))
             wins = _match_mask(perm[d.indices], d.n, bets)
             mc = _relabeled_mc(d, wins, float(len(bets)), config)
-            assert (exact, mc) == _rank_path(d, bets, float(len(bets)), config)
+            assert (exact, mc) == _rank_path(d, bets, float(len(bets)), config, _index_sum)
 
 
 def _mask_path(d, s, config):
     """Exact success and Monte Carlo through an all-true win mask: the
-    masked copy summed, and the draws counted in it."""
+    masked copy added level by level, and the draws counted in it."""
     mask = np.ones(d.support_size, dtype=bool)
-    success = float(d.probs[mask].sum())
+    success = level_sum(d.probs[mask])
     mc = _relabeled_mc(d, mask, s.committed_work, config)
     return ExactResult(success, success * s.committed_work), mc
 
@@ -684,14 +704,15 @@ def test_bets_whose_cell_holds_the_support_score_as_the_mask_path(rng, kind):
             s = Strategy(d, b, float(b))
             assert game._wins(d, s) is None
             assert (exact_evaluate(d, s), monte_carlo(d, s, config)) == _mask_path(d, s, config)
-            assert exact_evaluate(d, s).success_prob == d.total()
+            assert exact_evaluate(d, s).success_prob == level_sum(d.probs)
         # the next bet splits the support; other bets and plans are matched by the oracle
         if covering[-1] < d.n:
             assert game._wins(d, Strategy(d, covering[-1] + 1, 0.0)) is not None
         plan = canonical_permutation(d)
         r_first = relabeled_game_eval(d, plan.permutation, ((0, 1),), 1.0).success_prob
         assert r_first == float(d.probs[plan.ranks >= 1 << (d.n - 1)].sum())
-        assert relabeled_game_eval(d, np.arange(1 << d.n), (), 0.0).success_prob == d.total()
+        identity = relabeled_game_eval(d, np.arange(1 << d.n), (), 0.0)
+        assert identity.success_prob == float(d.probs.sum())
 
 
 def test_the_riskfree_game_reads_no_index_range():
@@ -703,9 +724,35 @@ def test_the_riskfree_game_reads_no_index_range():
     mc = monte_carlo(d, s, GameConfig(epsilon=eps, seed=7))
     assert check_inequalities(d, s, exact, eps, 1.0) == []
     assert game._wins(d, s) is None and mc.success_rate == 1.0
-    assert exact.success_prob == float(d.probs.sum())
+    assert exact.success_prob == level_sum(d.probs)
     assert "indices" not in vars(d)
     assert np.array_equal(d.indices, np.arange(1 << 20)) and not d.indices.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["distinct", "tied", "flat", "sparse", "classes", "witness"])
+def test_exact_success_is_the_top_mass_to_float_error(rng, kind):
+    # the level-order sum against math.fsum of the top 2^(n-b) probabilities, every b
+    for _ in range(12):
+        n = int(rng.integers(1, 13))
+        if kind == "distinct":
+            d = random_explicit(rng, n)
+        elif kind == "tied":
+            d = random_explicit(rng, n, levels=(1.0, 2.0, 3.0))
+        elif kind == "flat":
+            d = random_explicit(rng, n, levels=(1.0,))
+        elif kind == "sparse":
+            d = random_explicit(rng, n + 6, int(rng.integers(1, 100)))
+        elif kind == "classes":
+            d = explicit_of(bernoulli_product(float(rng.uniform(0.05, 0.95)), n))
+        else:  # subnormalized smoothing witnesses
+            source = random_explicit(rng, n)
+            detail = h_min_smooth_detail if rng.random() < 0.5 else h_max_smooth_detail
+            d = detail(source, float(rng.uniform(0.01, 0.3))).witness
+        ranked = np.sort(d.probs)[::-1]
+        for b in range(d.n + 1):
+            success = exact_evaluate(d, Strategy(d, b, 1.0)).success_prob
+            top = math.fsum(ranked[: 1 << (d.n - b)])
+            assert abs(success - top) <= 1e-14 * top
 
 
 # ---------------------------------------------------------------- theorems

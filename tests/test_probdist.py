@@ -80,7 +80,7 @@ def test_make_explicit_two_point():
 def test_make_explicit_point_mass():
     d = make_explicit(1, [("L", 1.0)])
     assert d.support_size == 1
-    assert d.p_max == 1.0
+    assert float(d.probs.max()) == 1.0
 
 
 def test_make_explicit_not_normalized():
@@ -647,4 +647,4 @@ def test_normalization_invariant(weights, n_extra):
         n = len(weights).bit_length()
     total = sum(weights)
     d = make_explicit(n, [(i, w / total) for i, w in enumerate(weights)])
-    assert d.total() == pytest.approx(1.0, abs=1e-9)
+    assert float(d.probs.sum()) == pytest.approx(1.0, abs=1e-9)

@@ -1,7 +1,8 @@
 """The library's public surface, read from the source with ``ast``: every
-exported name has a caller outside the tests or a decision that keeps it,
-no module imports a name it does not use, every error class is raised,
-and the README's Library example runs."""
+exported name and every public class member of the engine modules has a
+caller outside the tests or a decision that keeps it, no module imports a
+name it does not use, every error class is raised, and the README's
+Library example runs."""
 import ast
 import os
 import re
@@ -15,12 +16,16 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "szilard"
 DECISIONS = ROOT / "notes" / "decisions.md"
 
-#: exported names with no caller outside the tests, each kept by the
-#: decision entry (a ``## `` heading of notes/decisions.md) that argues for it
+#: exported names and class members with no caller outside the tests, each
+#: kept by the decision entry (a ``## `` heading of notes/decisions.md) that
+#: argues for it
 KEPT = {
     "uniform_product": "The engine keeps what it runs",
     "sample_indices": "The engine keeps what it runs",
 }
+
+#: the modules whose classes' public methods and properties need a reader
+ENGINE = ("probdist.py", "entropy.py", "game.py", "compress.py")
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -37,16 +42,36 @@ def _used_names(tree: ast.AST) -> set[str]:
     }
 
 
-def test_every_exported_name_has_a_caller_or_a_decision():
+def _used_outside_the_tests() -> set[str]:
+    """Every name read in ``src/szilard``, ``scripts/`` or ``perfbench/``."""
     trees = list(_modules().values())
     for folder in ("scripts", "perfbench"):
         trees += [ast.parse(p.read_text()) for p in sorted((ROOT / folder).rglob("*.py"))]
-    used = set().union(*map(_used_names, trees))
+    return set().union(*map(_used_names, trees))
+
+
+def test_every_kept_name_has_its_decision():
     headings = set(re.findall(r"^## (.+)$", DECISIONS.read_text(), flags=re.MULTILINE))
     for name, heading in KEPT.items():
         assert heading in headings, (name, heading)
-    uncalled = sorted(set(szilard.__all__) - used - set(KEPT))
+
+
+def test_every_exported_name_has_a_caller_or_a_decision():
+    uncalled = sorted(set(szilard.__all__) - _used_outside_the_tests() - set(KEPT))
     assert uncalled == [], f"exported names nothing outside the tests uses: {uncalled}"
+
+
+def test_every_public_class_member_has_a_reader_or_a_decision():
+    modules = _modules()
+    members = {
+        item.name
+        for name in ENGINE
+        for node in modules[name].body if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    }
+    unread = sorted(members - _used_outside_the_tests() - set(KEPT))
+    assert unread == [], f"class members nothing outside the tests reads: {unread}"
 
 
 def test_no_module_imports_a_name_it_does_not_use():

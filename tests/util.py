@@ -60,6 +60,14 @@ def sorted_picks(dist: ExplicitDistribution, rng: np.random.Generator, size: int
     return cdf.searchsorted(u, side="right")
 
 
+def level_sum(probs: np.ndarray) -> float:
+    """The probabilities added level by level, as exact success adds them:
+    each distinct value times its count, in descending order of value, in
+    one ``np.sum``."""
+    p, count = np.unique(probs, return_counts=True)
+    return float(np.sum(p[::-1] * count[::-1]))
+
+
 def same_table(a: ExplicitDistribution, b: ExplicitDistribution, tol: float = 0.0) -> bool:
     """Whether two tables have the same boxes and support, and probabilities
     within ``tol``; two tables of every outcome compare no indices."""
