@@ -337,17 +337,6 @@ def test_cmd_game_gambler(capsys):
     assert abs(mc["success_rate"] - 0.49) <= 4 * mc["stderr"]
 
 
-@pytest.mark.parametrize("strategy", [["--strategy", "riskfree"], []])
-def test_bet_size_applies_to_the_gambler_only(capsys, strategy):
-    # the risk-free bet count comes from eps; a bet size beside it is refused, not ignored
-    assert main(["game", "--spec", "bernoulli(0.7)^4", "--bet-size", "3"] + strategy) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err) == {
-        "code": "UsageError", "message": "--bet-size applies to --strategy gambler only",
-    }
-
-
 def test_cmd_game_replay_byte_identical(capsys):
     argv = ["game", "--spec", "bernoulli(0.6)^4", "--seed", "77", "--samples", "3000"]
     main(argv)
@@ -420,6 +409,9 @@ def test_cli_error_envelope_missing_spec(capsys):
         (["entropy", "--spec", "uniform^\u0663"], "ParseError"),
         # command lines argparse rejects
         (["game", "--spec", "uniform^2", "--strategy", "foo"], "UsageError"),
+        # the risk-free bet count comes from eps: a bet size beside it is refused, not ignored
+        (["game", "--spec", "uniform^2", "--strategy", "riskfree", "--bet-size", "1"], "UsageError"),
+        (["game", "--spec", "uniform^2", "--bet-size", "1"], "UsageError"),
         (["entropy", "--spec", "uniform^2", "--epsilon", "abc"], "UsageError"),
         ([], "UsageError"),
     ],
