@@ -58,7 +58,6 @@ from .probdist import (
     DEFAULT_EXPLICIT_CAP,
     ExplicitDistribution,
     MixtureOfProducts,
-    Outcome,
     TypeClassView,
     apply_permutation,
     bernoulli_product,

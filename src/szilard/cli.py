@@ -23,7 +23,7 @@ and an explicit table otherwise.
 Commands emit JSON (stable key order) or CSV (comma separator, header row,
 Unix newlines); errors go to stderr as a JSON envelope with a stable
 ``code`` field. Exit codes: 0 ok, 1 input error (a bad spec or spec file,
-or a command line argparse rejects), 2 internal invariant violation.
+or a bad command line), 2 internal invariant violation.
 """
 from __future__ import annotations
 
@@ -59,17 +59,12 @@ class SpecBernoulli:
 
 @dataclass(frozen=True)
 class SpecDet:
-    bits: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SpecUniform:
-    n: int
+    bits: str  # the L/R string
 
 
 @dataclass(frozen=True)
 class SpecExplicit:
-    pairs: tuple[tuple[tuple[int, ...], float], ...]
+    pairs: tuple[tuple[str, float], ...]  # (L/R string, probability)
 
 
 @dataclass(frozen=True)
@@ -78,7 +73,7 @@ class SpecMix:
 
 
 def spec_arity(node) -> int:
-    if isinstance(node, (SpecBernoulli, SpecUniform)):
+    if isinstance(node, SpecBernoulli):
         return node.n
     if isinstance(node, SpecDet):
         return len(node.bits)
@@ -86,25 +81,6 @@ def spec_arity(node) -> int:
         return len(node.pairs[0][0])
     if isinstance(node, SpecMix):
         return spec_arity(node.terms[0][1])
-    raise TypeError(node)
-
-
-def render_spec(node) -> str:
-    """Canonical text form; reparsing it yields an identical AST."""
-    if isinstance(node, SpecBernoulli):
-        return f"bernoulli({node.q!r})^{node.n}"
-    if isinstance(node, SpecDet):
-        return f"det({''.join('LR'[b] for b in node.bits)})"
-    if isinstance(node, SpecUniform):
-        return f"uniform^{node.n}"
-    if isinstance(node, SpecExplicit):
-        inner = ", ".join(
-            f"{''.join('LR'[b] for b in bits)}: {p!r}" for bits, p in node.pairs
-        )
-        return f"explicit{{{inner}}}"
-    if isinstance(node, SpecMix):
-        inner = ", ".join(f"{w!r}: {render_spec(t)}" for w, t in node.terms)
-        return f"mix({inner})"
     raise TypeError(node)
 
 
@@ -157,11 +133,11 @@ class _Parser:
             self.error("expected an integer", expected="integer", at=start)
         return int(token)
 
-    def lr_string(self) -> tuple[int, ...]:
+    def lr_string(self) -> str:
         start, token = self.scan("LR")
         if not token:
             self.error("expected an L/R string", expected="[LR]+", at=start)
-        return tuple(0 if ch == "L" else 1 for ch in token)
+        return token
 
     def probability(self) -> float:
         self.skip_ws()
@@ -185,7 +161,7 @@ class _Parser:
             return SpecDet(bits)
         if self.accept("uniform"):
             self.expect("^")
-            return SpecUniform(self.integer())
+            return SpecBernoulli(0.5, self.integer())
         if self.accept("explicit"):
             self.expect("{")
             pairs = [self.pair()]
@@ -200,7 +176,7 @@ class _Parser:
             expected="term",
         )
 
-    def pair(self) -> tuple[tuple[int, ...], float]:
+    def pair(self) -> tuple[str, float]:
         bits = self.lr_string()
         self.expect(":")
         return bits, self.number()
@@ -247,14 +223,12 @@ def parse_spec(text: str):
 def _term(node) -> probdist.MixtureOfProducts | probdist.ExplicitDistribution:
     """One term's distribution: a product family where the term is one, else a table."""
     if isinstance(node, SpecExplicit):
-        return probdist.make_explicit(
-            spec_arity(node), [(probdist.Outcome(bits), p) for bits, p in node.pairs]
-        )
+        return probdist.make_explicit(spec_arity(node), node.pairs)
     if isinstance(node, SpecDet):
         if len(set(node.bits)) > 1:
-            return probdist.point_mass(probdist.Outcome(node.bits))
-        return probdist.bernoulli_product(1.0 if node.bits[0] == 0 else 0.0, len(node.bits))
-    return probdist.bernoulli_product(node.q if isinstance(node, SpecBernoulli) else 0.5, node.n)
+            return probdist.point_mass(node.bits)
+        return probdist.bernoulli_product(1.0 if node.bits[0] == "L" else 0.0, len(node.bits))
+    return probdist.bernoulli_product(node.q, node.n)
 
 
 def to_distribution(node):
@@ -428,9 +402,11 @@ def cmd_oracle(spec_text: str, eps: float, seed: int) -> dict:
 
 
 def _read_spec(args) -> str:
-    if getattr(args, "spec", None):
+    if args.spec is not None and args.spec_file is not None:
+        raise UsageError("give --spec or --spec-file, not both")
+    if args.spec:
         return args.spec
-    if getattr(args, "spec_file", None):
+    if args.spec_file:
         try:
             with open(args.spec_file, encoding="utf-8") as fh:
                 return fh.read().strip()

@@ -81,10 +81,6 @@ class CutLevel:
     log2_level: float
     removed_mass: float
 
-    @property
-    def level(self) -> float:
-        return 2.0**self.log2_level
-
 
 @dataclass(frozen=True)
 class SmoothedMax:

@@ -12,8 +12,8 @@ Every representation carries its ``Spectrum`` as the cached property
 ``levels``: the distinct per-outcome probabilities with their
 multiplicities, computed on first read and kept on the object.
 
-Outcome indices are big-endian: box 0 is the most significant bit, L=0,
-R=1, so the all-L string is index 0.
+An outcome is its index or its L/R string. Indices are big-endian: box 0
+is the most significant bit, L=0, R=1, so the all-L string is index 0.
 """
 from __future__ import annotations
 
@@ -43,45 +43,6 @@ DEFAULT_EXPLICIT_CAP = 2**24
 
 NORMALIZATION_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """One microstate: a fixed-length string of box contents, L=0 / R=1."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.bits) == 0 or any(b not in (0, 1) for b in self.bits):
-            raise BadOutcomeLength(f"bits must be a nonempty 0/1 sequence, got {self.bits!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
-    @property
-    def index(self) -> int:
-        i = 0
-        for b in self.bits:
-            i = (i << 1) | b
-        return i
-
-    @classmethod
-    def from_index(cls, index: int, n: int) -> "Outcome":
-        if not 0 <= index < (1 << n):
-            raise IndexOutOfRange(f"index {index} outside [0, 2^{n})")
-        return cls(tuple((index >> (n - 1 - i)) & 1 for i in range(n)))
-
-    @classmethod
-    def from_string(cls, text: str) -> "Outcome":
-        table = {"L": 0, "R": 1}
-        try:
-            return cls(tuple(table[ch] for ch in text))
-        except KeyError:
-            raise BadOutcomeLength(f"outcome string must use only L/R, got {text!r}") from None
-
-    def __str__(self) -> str:
-        return "".join("LR"[b] for b in self.bits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,12 +145,13 @@ class ExplicitDistribution:
             start += _CHUNK
         return mask
 
-    def items(self) -> Iterable[tuple[Outcome, float]]:
+    def items(self) -> Iterable[tuple[str, float]]:
+        """The support as (L/R string, probability) pairs, in index order."""
         for idx, p in zip(self.indices.tolist(), self.probs.tolist()):
-            yield Outcome.from_index(idx, self.n), p
+            yield _lr_string(idx, self.n), p
 
     def as_dict(self) -> dict[str, float]:
-        return {str(o): p for o, p in self.items()}
+        return dict(self.items())
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -242,21 +204,28 @@ def _sub_table(dist: ExplicitDistribution, keep: np.ndarray) -> ExplicitDistribu
     return _sorted_table(dist.n, kept, dist.probs[keep])
 
 
+def _lr_string(index: int, n: int) -> str:
+    """The L/R string of outcome ``index`` on n boxes."""
+    return format(index, f"0{n}b").replace("0", "L").replace("1", "R")
+
+
 def _as_index(outcome, n: int) -> int:
+    """The index of an outcome on n boxes, given as its index (a Python or
+    numpy int) or as its L/R string."""
     # raw indices first: they are what large tables are built from
     if isinstance(outcome, (int, np.integer)):
         if not 0 <= int(outcome) < (1 << n):
             raise IndexOutOfRange(f"index {outcome} outside [0, 2^{n})")
         return int(outcome)
-    if isinstance(outcome, Outcome):
-        o = outcome
-    elif isinstance(outcome, str):
-        o = Outcome.from_string(outcome)
-    else:
-        o = Outcome(tuple(outcome))
-    if o.n != n:
-        raise BadOutcomeLength(f"outcome {o} has {o.n} bits, distribution has {n}")
-    return o.index
+    if not isinstance(outcome, str):
+        raise BadOutcomeLength(f"an outcome is an index or an L/R string, got {outcome!r}")
+    if not outcome or not set(outcome) <= {"L", "R"}:
+        raise BadOutcomeLength(f"outcome string must use only L/R, got {outcome!r}")
+    if len(outcome) != n:
+        raise BadOutcomeLength(
+            f"outcome {outcome} has {len(outcome)} bits, distribution has {n}"
+        )
+    return int(outcome.replace("L", "0").replace("R", "1"), 2)
 
 
 def _check_cap(n: int):
@@ -269,9 +238,9 @@ def _check_cap(n: int):
 def make_explicit(n: int, entries: Iterable[tuple[object, float]]) -> ExplicitDistribution:
     """Validated explicit table from (outcome, probability) pairs.
 
-    Outcomes may be Outcome objects, L/R strings, bit sequences or raw
-    indices. Zero entries are dropped from the support; the total must be
-    1 within NORMALIZATION_TOL.
+    An outcome is its index (a Python or numpy int) or its L/R string of
+    length n; any other form is a BadOutcomeLength. Zero entries are
+    dropped from the support; the total must be 1 within NORMALIZATION_TOL.
 
     The checks run in this order, each over every entry, and the first
     failing one raises, naming the first offending entry: the outcome's
@@ -307,13 +276,16 @@ def make_explicit(n: int, entries: Iterable[tuple[object, float]]) -> ExplicitDi
     return _sorted_table(n, indices, probs[order])
 
 
-def point_mass(outcome: Outcome | str) -> ExplicitDistribution:
-    """The distribution that holds ``outcome`` with certainty; its index
-    must fit int64, as every table's indices do (SupportOverflow)."""
-    o = outcome if isinstance(outcome, Outcome) else Outcome.from_string(outcome)
-    if o.index >= 1 << 63:
-        raise SupportOverflow(f"outcome index of {o} on {o.n} boxes does not fit int64")
-    return _from_arrays(o.n, np.array([o.index]), np.array([1.0]))
+def point_mass(outcome: str) -> ExplicitDistribution:
+    """The distribution on ``len(outcome)`` boxes that holds the L/R string
+    ``outcome`` with certainty; its index must fit int64, as every table's
+    indices do (SupportOverflow)."""
+    index = _as_index(outcome, len(outcome))
+    if index >= 1 << 63:
+        raise SupportOverflow(
+            f"outcome index of {outcome} on {len(outcome)} boxes does not fit int64"
+        )
+    return _from_arrays(len(outcome), np.array([index]), np.array([1.0]))
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,15 @@ from szilard import (
     work_unit,
 )
 from szilard.cli import (
+    SpecBernoulli,
+    SpecDet,
+    SpecExplicit,
+    SpecMix,
     cmd_entropy,
     cmd_table1,
     cmd_work,
     main,
     parse_spec,
-    render_spec,
     to_distribution,
 )
 from szilard.compress import BIASED
@@ -102,25 +105,28 @@ def test_mix_of_non_product_terms_becomes_explicit():
     assert prob_of(d, "LLL") == pytest.approx(0.5 / 8)
 
 
+# (spec text, the tree it denotes), each built from the same drawn values
 _terms = st.one_of(
     st.builds(
-        lambda q, n: f"bernoulli({q!r})^{n}",
+        lambda q, n: (f"bernoulli({q!r})^{n}", SpecBernoulli(q, n)),
         st.floats(min_value=0.0, max_value=1.0),
         st.integers(1, 50),
     ),
-    st.builds(lambda n: f"uniform^{n}", st.integers(1, 50)),
+    st.builds(lambda n: (f"uniform^{n}", SpecBernoulli(0.5, n)), st.integers(1, 50)),
     st.builds(
-        lambda bits: "det(" + "".join("LR"[b] for b in bits) + ")",
-        st.lists(st.integers(0, 1), min_size=1, max_size=8),
+        lambda bits: (f"det({bits})", SpecDet(bits)),
+        st.lists(st.integers(0, 1), min_size=1, max_size=8).map(
+            lambda bits: "".join("LR"[b] for b in bits)
+        ),
     ),
 )
 
 
 @settings(max_examples=60)
 @given(_terms)
-def test_roundtrip_plain_terms(text):
-    node = parse_spec(text)
-    assert parse_spec(render_spec(node)) == node
+def test_plain_terms_parse_to_their_tree(case):
+    text, node = case
+    assert parse_spec(text) == node
 
 
 @settings(max_examples=60)
@@ -129,14 +135,15 @@ def test_roundtrip_plain_terms(text):
     st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=4),
     st.integers(1, 30),
 )
-def test_roundtrip_mixtures(raw_weights, qs, n):
+def test_mixtures_parse_to_their_tree(raw_weights, qs, n):
     total = math.fsum(raw_weights)
     weights = [w / total for w in raw_weights]
     text = "mix(" + ", ".join(
         f"{w!r}: bernoulli({q!r})^{n}" for w, q in zip(weights, qs)
     ) + ")"
-    node = parse_spec(text)
-    assert parse_spec(render_spec(node)) == node
+    assert parse_spec(text) == SpecMix(
+        tuple((w, SpecBernoulli(q, n)) for w, q in zip(weights, qs))
+    )
 
 
 @settings(max_examples=40)
@@ -146,14 +153,14 @@ def test_roundtrip_mixtures(raw_weights, qs, n):
         min_size=1, max_size=8,
     )
 )
-def test_roundtrip_explicit(table):
+def test_explicit_parses_to_its_tree(table):
     total = math.fsum(table.values())
-    pairs = ", ".join(
-        "".join("LR"[(i >> (2 - b)) & 1] for b in range(3)) + f": {p / total!r}"
+    pairs = tuple(
+        (format(i, "03b").replace("0", "L").replace("1", "R"), p / total)
         for i, p in table.items()
     )
-    node = parse_spec("explicit{" + pairs + "}")
-    assert parse_spec(render_spec(node)) == node
+    text = "explicit{" + ", ".join(f"{o}: {p!r}" for o, p in pairs) + "}"
+    assert parse_spec(text) == SpecExplicit(pairs)
 
 
 # ---------------------------------------------------------------- commands
@@ -404,6 +411,8 @@ def test_cli_error_envelope_missing_spec(capsys):
         (["entropy", "--spec-file", "{tmp}/missing.txt"], "UnreadableSpecFile"),
         (["entropy", "--spec-file", "{tmp}"], "UnreadableSpecFile"),
         (["entropy", "--spec-file", "{tmp}/latin1.txt"], "UnreadableSpecFile"),
+        # the spec comes from one place: a spec file beside --spec is refused, not ignored
+        (["entropy", "--spec", "uniform^2", "--spec-file", "{tmp}/missing.txt"], "UsageError"),
         # spec integers are ASCII digits: a superscript or an Arabic-Indic digit is no integer
         (["entropy", "--spec", "bernoulli(0.5)^\u00b2"], "ParseError"),
         (["entropy", "--spec", "uniform^\u0663"], "ParseError"),

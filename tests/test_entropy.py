@@ -238,9 +238,9 @@ def test_cut_level_solves_the_removal_equation(rng):
         d = random_explicit(rng, 4)
         eps = float(rng.uniform(1e-4, 0.3))
         cut = h_min_smooth_detail(d, eps).cut
-        removed = np.maximum(d.probs - cut.level, 0.0).sum()
+        removed = np.maximum(d.probs - 2.0**cut.log2_level, 0.0).sum()
         assert removed == pytest.approx(eps, abs=1e-9)
-        assert cut.level <= float(d.probs.max()) + 1e-15
+        assert 2.0**cut.log2_level <= float(d.probs.max()) + 1e-15
 
 
 # ----------------------------------------------------------- smooth report

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from szilard import (
-    Outcome,
     apply_permutation,
     bernoulli_product,
     explicit_of,
@@ -52,19 +51,23 @@ from util import (
 # ---------------------------------------------------------------- outcomes
 
 
-def test_outcome_string_index_roundtrip():
-    o = Outcome.from_string("LRLL")
-    assert o.bits == (0, 1, 0, 0)
-    assert o.index == 4
-    assert Outcome.from_index(4, 4) == o
-    assert str(o) == "LRLL"
+def test_l_r_strings_and_indices_name_each_other():
+    # box 0 is the most significant bit: LRLL is index 4 on four boxes
+    assert probdist._as_index("LRLL", 4) == 4
+    assert probdist._lr_string(4, 4) == "LRLL"
+    for n in (1, 3, 7):
+        strings = [probdist._lr_string(i, n) for i in range(1 << n)]
+        assert strings == sorted(strings) and len(set(strings)) == 1 << n
+        assert [probdist._as_index(o, n) for o in strings] == list(range(1 << n))
+    table = make_explicit(3, [(6, 0.5), ("LLR", 0.25), (0, 0.25)])
+    assert list(table.items()) == [("LLL", 0.25), ("LLR", 0.25), ("RRL", 0.5)]
 
 
-def test_outcome_rejects_bad_bits():
-    with pytest.raises(BadOutcomeLength):
-        Outcome.from_string("LX")
-    with pytest.raises(BadOutcomeLength):
-        Outcome(())
+def test_point_mass_takes_an_l_r_string_only():
+    assert point_mass("RLR").indices.tolist() == [5]
+    for bad in ("LX", "", "lr", "L R"):
+        with pytest.raises(BadOutcomeLength, match="must use only L/R"):
+            point_mass(bad)
 
 
 # ------------------------------------------------------------ construction
@@ -129,26 +132,33 @@ def test_make_explicit_checks_form_then_sign_then_repeats_then_total():
 def test_make_explicit_takes_every_outcome_form_at_once():
     # raw ints pass straight through; the other forms go through _as_index
     entries = [(5, 0.125), (np.int64(6), 0.0), (True, 0.125), ("RRR", 0.25), ("LLL", 0.125),
-               (Outcome((0, 1, 0)), 0.125), ((1, 0, 0), 0.125), ([0, 1, 1], 0.125)]
+               ("LRL", 0.125), (np.uint8(4), 0.125), ("LRR", 0.125)]
     d = make_explicit(3, entries)
     assert d.indices.tolist() == [0, 1, 2, 3, 4, 5, 7]
     assert d.probs.tolist() == [0.125] * 6 + [0.25]
     assert same_table(make_explicit(3, iter(entries)), d)
+    # a bit tuple or list among them is refused, not read as an index
+    for bad in ((1, 0, 0), [0, 1, 1]):
+        with pytest.raises(BadOutcomeLength):
+            make_explicit(3, entries + [(bad, 0.0)])
 
 
 def test_outcome_forms_name_the_same_index():
     # RLR is index 5 on three boxes, in every form make_explicit accepts
-    for form in (5, np.int64(5), np.uint8(5), "RLR", Outcome((1, 0, 1)), (1, 0, 1), [1, 0, 1]):
+    for form in (5, np.int64(5), np.uint8(5), "RLR"):
         idx = probdist._as_index(form, 3)
         assert idx == 5 and type(idx) is int
     assert probdist._as_index(True, 3) == 1 and probdist._as_index(False, 3) == 0
     for bad in (8, -1, np.int64(8), 2**70):
         with pytest.raises(IndexOutOfRange):
             probdist._as_index(bad, 3)
-    for bad in ("RL", "RXL", (1, 0), (1, 2, 0), Outcome((1, 0))):
+    # an index or an L/R string of length n, and nothing else: bit sequences,
+    # bytes, floats and None are refused
+    for bad in ("RL", "RXL", "", (1, 0, 1), [1, 0, 1], (1, 0), (1, 2, 0), np.array([1, 0, 1]),
+                b"RLR", 5.0, None):
         with pytest.raises(BadOutcomeLength):
             probdist._as_index(bad, 3)
-    d = make_explicit(3, [(5, 0.25), ("LLL", 0.25), (Outcome((0, 1, 0)), 0.25), ((0, 1, 1), 0.25)])
+    d = make_explicit(3, [(5, 0.25), ("LLL", 0.25), ("LRL", 0.25), (np.int64(3), 0.25)])
     assert d.indices.tolist() == [0, 2, 3, 5]
 
 
@@ -311,8 +321,8 @@ def test_explicit_of_matches_mixture_entrywise(rng):
         d = explicit_of(m)
         view = to_type_classes(m)
         for idx in rng.choice(1 << n, size=min(50, 1 << n), replace=False):
-            o = Outcome.from_index(int(idx), n)
-            k = sum(o.bits)
+            o = format(int(idx), f"0{n}b").replace("0", "L").replace("1", "R")
+            k = o.count("R")
             assert prob_of(d, o) == pytest.approx(
                 2.0 ** view.class_log_prob[k], abs=1e-12
             )

@@ -80,9 +80,9 @@ def same_table(a: ExplicitDistribution, b: ExplicitDistribution, tol: float = 0.
 
 
 def prob_of(dist: ExplicitDistribution, outcome) -> float:
-    """The probability of one outcome (an L/R string or an ``Outcome``),
-    0.0 off the support."""
-    return dist.as_dict().get(str(outcome), 0.0)
+    """The probability of one outcome, given as its L/R string, 0.0 off the
+    support."""
+    return dist.as_dict().get(outcome, 0.0)
 
 
 def tensor(p: ExplicitDistribution, q: ExplicitDistribution) -> ExplicitDistribution:
