@@ -30,10 +30,12 @@ so ``smooth_report``, the work figures and the strategy builders in
 ``game`` all read one solve. Explicit tables still build their witnesses
 per call. The smooth min-entropy cut is found on a prefix: no cut falls
 before the first level whose prefix mass exceeds eps, so the running
-log-count of the levels before it is one ``reduce``, and from there it is
-accumulated in chunks of doubling length only as far as the cut, not
-over all n + 1 levels. A reduce and an accumulate are the same left fold,
-so the floats are those of a full scan.
+log-count of the levels before it is one ``logsumexp2`` (a sequential
+fold, where they are few), and from there it is accumulated in chunks of
+doubling length only as far as the cut, not over all n + 1 levels. Where
+the log-sum could give another cut than the fold of a full scan (a
+comparison within a proven error bound of its level), the scan is run
+again from the fold, so the cut is always that of a full scan.
 """
 from __future__ import annotations
 
@@ -263,8 +265,17 @@ def _solve_min(s: Spectrum, eps: float) -> tuple[SmoothedMin, float | None]:
     return SmoothedMin(0.0 - log_lam, CutLevel(log_lam, eps), None), lam
 
 
-#: levels in the first chunk ``_cut`` scans; each later chunk doubles
+#: levels in the first chunk ``_scan`` scans; each later chunk doubles
 _CUT_CHUNK = 64
+
+#: ulps of max(log2 N_m, 1) per level by which the two seeds of ``_cut``
+#: can move a scanned log2(N); a margin within it reruns the exact fold
+_SEED_ULPS = 16
+
+#: below this many leading levels the exact fold (30 to 40 ns a level) is
+#: cheaper than the log-sum seed and its guard (about 20 us), so it seeds
+#: the scan itself
+_FOLD_MAX_START = 512
 
 
 def _cut(s: Spectrum, prefix_mass: np.ndarray, eps: float) -> int:
@@ -273,20 +284,74 @@ def _cut(s: Spectrum, prefix_mass: np.ndarray, eps: float) -> int:
     The cut is the first m whose level log2(S_m - eps) - log2(N_m) is at
     or above level m + 1 (the last level is above -inf, so some m is).
     No m with S_m <= eps qualifies, since log2 of S_m - eps is -inf or nan
-    there, so the scan starts at the first level whose prefix mass exceeds
-    eps. log2(N_m) is ``np.logaddexp2.accumulate`` of the log counts, which
-    is only taken from there as far as the cut: the levels before the start
-    are folded by ``np.logaddexp2.reduce``, and the rest scanned in chunks
-    of doubling length, each chunk's accumulate started from the last value
-    before it. The reduce starts from the first level, not from its
-    identity -inf (which turns a -0.0 into +0.0), so it is the same left
-    fold as accumulate, and every float, and with it m, is the one a single
-    accumulate over all levels gives.
+    there, so ``_scan`` starts at the first level whose prefix mass
+    exceeds eps, seeded by log2 of the count of the levels before it.
+
+    The pinned m is that of one ``np.logaddexp2.accumulate`` over all
+    levels, whose value before the start is the sequential fold
+    ``np.logaddexp2.reduce(log_count[1:start], initial=log_count[0])``
+    (the same left fold; started from the first level, not from the
+    identity -inf, which turns a -0.0 into +0.0). That fold costs 30 to
+    40 ns a level, so from ``_FOLD_MAX_START`` leading levels on the seed
+    is ``logsumexp2`` of them instead, and the fold runs only where the
+    two seeds could give another m. With u = max(log2 N_m, 1), the
+    largest log2(N) the scan reaches:
+
+    * One logaddexp2 step errs by at most about 3 ulp(u): half an ulp of
+      its result, which is at most u, and an absolute error of order
+      2^-53 <= ulp(u) in its log2(1 + 2^-d) term. The exact step
+      a -> log2(2^a + 2^c) has slope below 1, so an error carried into
+      it does not grow, and the fold errs by at most 3 · start ulp(u).
+    * ``logsumexp2`` errs by about start · 2^-53 / ln 2 in its sum of
+      start terms, plus a few roundings: at most 3 · start ulp(u).
+    * From the start both scans take the same steps, each of which can
+      add twice its error to their distance: 6 ulp(u) a level.
+
+    So their log2(N) differ by at most 6 · m ulp(u) at every scanned
+    level; ``_SEED_ULPS`` takes 16. lhs = log2(S - eps) - log2(N) moves
+    by at most that plus its own rounding, so a comparison lhs >= level
+    can turn only where |lhs - level| - 2 ulp(lhs) is within the bound.
+    That margin is taken over every level scanned up to the hit, not
+    only at m - 1 and m: the hit is monotone in m, but its margin need
+    not be. Where the smallest margin is within the bound, the scan runs
+    again from the fold. Otherwise both seeds give this m, and with it
+    every float of the solve.
+    """
+    start = int(np.searchsorted(prefix_mass, eps, side="right"))
+    if start < _FOLD_MAX_START:
+        return _scan(s, prefix_mass, eps, start, _fold(s, start))[0]
+    m, log_n, scanned = _scan(s, prefix_mass, eps, start, logsumexp2(s.log_count[:start]))
+    margin = min(
+        float(np.min(np.abs(lhs - level) - 2.0 * np.spacing(np.abs(lhs))))
+        for lhs, level in scanned
+    )
+    if margin <= _SEED_ULPS * m * np.spacing(max(log_n, 1.0)):
+        m = _scan(s, prefix_mass, eps, start, _fold(s, start))[0]
+    return m
+
+
+def _fold(s: Spectrum, start: int) -> float | None:
+    """log2 of the count of the first ``start`` levels as the sequential
+    fold that one accumulate over all levels passes through; None for
+    none."""
+    return np.logaddexp2.reduce(s.log_count[1:start], initial=s.log_count[0]) if start else None
+
+
+def _scan(
+    s: Spectrum, prefix_mass: np.ndarray, eps: float, start: int, seed: float | None
+) -> tuple[int, float, list[tuple[np.ndarray, np.ndarray]]]:
+    """The cut m from level ``start`` on, log2(N_m), and the compared
+    pairs (lhs, level) of every level scanned up to the hit, chunk by
+    chunk.
+
+    log2(N) is ``np.logaddexp2.accumulate`` of the log counts, from
+    ``seed``, log2 of the count of the levels before ``start`` (None for
+    none), in chunks of doubling length, each chunk's accumulate started
+    from the last value before it; that is one left fold, so each float is
+    the one a single accumulate from the seed gives.
     """
     size = s.log_p.size
-    start = int(np.searchsorted(prefix_mass, eps, side="right"))
-    width = _CUT_CHUNK
-    acc = np.logaddexp2.reduce(s.log_count[1:start], initial=s.log_count[0]) if start else None
+    width, acc, scanned = _CUT_CHUNK, seed, []
     while True:
         stop = min(start + width, size)
         counts = s.log_count[start:stop]
@@ -298,9 +363,13 @@ def _cut(s: Spectrum, prefix_mass: np.ndarray, eps: float) -> int:
         if stop == size:
             below = np.append(below, -np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
-            hit = np.log2(prefix_mass[start:stop] - eps) - log_n >= below
+            lhs = np.log2(prefix_mass[start:stop] - eps) - log_n
+        hit = lhs >= below
         if hit.any():
-            return start + int(np.argmax(hit)) + 1
+            seen = int(np.argmax(hit)) + 1
+            scanned.append((lhs[:seen], below[:seen]))
+            return start + seen, float(log_n[seen - 1]), scanned
+        scanned.append((lhs, below))
         start, width, acc = stop, 2 * width, log_n[-1]
 
 

@@ -2,10 +2,16 @@
 
 Everything downstream works in log2 space so that supports of size 2^1000
 and per-string probabilities of order 2^-1000 stay representable.
+
+Above EXACT_BINOMIAL_MAX_N the binomial row comes from one row of ln k!
+that the process shares: it is built on the first ask, extended when a
+larger n is asked for, and never rebuilt, so a process that computes
+many spectra pays for each k once.
 """
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -29,7 +35,8 @@ def logsumexp2(values) -> float:
     m = float(np.max(a))
     if not np.isfinite(m):
         return m
-    return m + math.log2(float(np.sum(np.exp2(a - m))))
+    terms = a - m
+    return m + math.log2(float(np.sum(np.exp2(terms, out=terms))))
 
 
 def binomials(n: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -60,9 +67,38 @@ def binomials(n: int) -> tuple[np.ndarray, np.ndarray | None]:
     return logs, None
 
 
+#: ln k! for k = 0..len - 1, read-only; ``_log_factorials`` grows it
+_log_factorial_row = np.empty(0)
+_log_factorial_lock = threading.Lock()
+
+
 def _log_factorials(n: int) -> np.ndarray:
-    """ln k! for k = 0..n (n >= STIRLING_MIN_K), as the log-gamma that
-    cephes (and scipy's gammaln) evaluates: math.lgamma for
+    """ln k! for k = 0..n, as a read-only view of the row the process shares.
+
+    The row holds 8 bytes per k, up to the largest n the process has asked
+    for. Asked past its end, it is replaced by a row of exactly n + 1
+    entries: the old ones copied, only the missing ones computed
+    (``_fill_log_factorials``). Every entry depends on k alone, through
+    elementwise ufuncs on contiguous memory, so a view of a longer row
+    holds the floats a fresh row of n + 1 would.
+    """
+    global _log_factorial_row
+    row = _log_factorial_row
+    if row.size <= n:
+        with _log_factorial_lock:
+            row = _log_factorial_row  # another thread may have grown it
+            if row.size <= n:
+                old, row = row, np.empty(n + 1)
+                row[: old.size] = old
+                _fill_log_factorials(row, old.size)
+                row.setflags(write=False)
+                _log_factorial_row = row
+    return row[: n + 1]
+
+
+def _fill_log_factorials(row: np.ndarray, start: int):
+    """Set ``row[k]`` = ln k! for k = start..row.size - 1, as the log-gamma
+    that cephes (and scipy's gammaln) evaluates: math.lgamma for
     k < STIRLING_MIN_K, from there the Stirling series in x = k + 1
 
         (x - 1/2) ln x - x + ln(2 pi)/2
@@ -70,10 +106,10 @@ def _log_factorials(n: int) -> np.ndarray:
 
     built in place in two scratch arrays beside the row.
     """
-    row = np.empty(n + 1)
-    row[:STIRLING_MIN_K] = [math.lgamma(k + 1.0) for k in range(STIRLING_MIN_K)]
-    x = np.arange(STIRLING_MIN_K + 1.0, n + 2.0)
-    big = row[STIRLING_MIN_K:]
+    lo = max(start, STIRLING_MIN_K)
+    row[start:lo] = [math.lgamma(k + 1.0) for k in range(start, lo)]
+    x = np.arange(lo + 1.0, row.size + 1.0)
+    big = row[lo:]
     np.log(x, out=big)
     tmp = x - 0.5
     big *= tmp
@@ -90,7 +126,6 @@ def _log_factorials(n: int) -> np.ndarray:
         tmp += c
     tmp *= r
     big += tmp
-    return row
 
 
 def log2_binomials(n: int) -> np.ndarray:

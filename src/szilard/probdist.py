@@ -74,12 +74,17 @@ class Spectrum:
         the spectrum at one eps shares one solve."""
         return {}
 
+    @functools.cached_property
+    def _cumulative_count(self) -> np.ndarray:
+        """``np.cumsum(count)``, built on the first ``top`` and kept."""
+        return _freeze(np.cumsum(self.count))
+
     def top(self, size: int) -> tuple[int, int, float]:
         """The boundary level of the ``size`` most likely outcomes, ``rem``
         (how many of its outcomes they take) and their mass: the levels'
         ``mass`` above it, then ``rem * p[boundary]``, in one ``np.sum``.
         Reads ``p``, which tables hold; a size past the support takes all."""
-        cum = np.cumsum(self.count)
+        cum = self._cumulative_count
         size = min(size, int(cum[-1]))
         boundary = int(np.searchsorted(cum, size, side="right"))
         rem = size - (int(cum[boundary - 1]) if boundary else 0)
@@ -397,7 +402,8 @@ class TypeClassView:
                 None if a is None else np.ascontiguousarray(a[run])
                 for a in (self.class_log_prob, self.class_log_count, self.class_count)
             )
-            return _spectrum(self.n, None, log_p, np.exp2(log_p + log_count), log_count, count)
+            mass = log_p + log_count
+            return _spectrum(self.n, None, log_p, np.exp2(mass, out=mass), log_count, count)
         sup = np.flatnonzero(support)
         order = sup[np.argsort(-self.class_log_prob[sup], kind="stable")]
         log_p, log_count = self.class_log_prob[order], self.class_log_count[order]
@@ -436,7 +442,10 @@ def _monotone_run(values: np.ndarray, support: np.ndarray) -> slice | None:
 
 
 def _check_class_limit(n: int):
-    if n > 10**7:  # the class arrays take about 85 bytes per box
+    # the class arrays take about 85 bytes per box while they are built, and
+    # the ln k! row the process keeps above EXACT_BINOMIAL_MAX_N 8 more for
+    # as long as it runs (80 MB at the limit; 16 while the row grows)
+    if n > 10**7:
         raise TooLarge(f"{n} boxes exceed the type-class limit of 10**7")
 
 
@@ -464,7 +473,8 @@ def to_type_classes(m: MixtureOfProducts) -> TypeClassView:
             # 0 log 0 convention has 0.0, but the other term there is nonzero or
             # +0.0, so the sum is the same; at q = 1/2 it is exactly -n in every
             # class, so uniform terms stay flat
-            row = (n - ks) * math.log2(q)
+            row = n - ks
+            row *= math.log2(q)
             row += ks * math.log2(1.0 - q)
             row += math.log2(w)
             terms.append((None, row))

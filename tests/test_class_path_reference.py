@@ -2,8 +2,10 @@
 
 ``to_type_classes`` takes a point mass as one term, ``TypeClassView.levels``
 reads monotone classes in order, and ``entropy._cut`` starts its scan
-where the prefix mass first exceeds eps. ``util`` keeps the builds that do
-none of this; every array and figure must match them in ``float.hex``.
+where the prefix mass first exceeds eps, seeded by a log-sum with the
+exact fold as its fallback. ``util`` keeps the builds that do none of
+this; every array and figure, and every cut, must match them in
+``float.hex``.
 """
 import math
 
@@ -18,6 +20,7 @@ from szilard import (
     cli,
     entropy,
     explicit_of,
+    make_explicit,
     mixture,
     riskfree_work_executable,
     smooth_report,
@@ -28,7 +31,9 @@ from szilard import (
 from szilard.probdist import _monotone_run
 
 from util import (
+    random_explicit,
     reference_cut,
+    reference_fold,
     reference_levels,
     reference_table_levels,
     reference_type_classes,
@@ -190,7 +195,7 @@ def test_monotone_run_finds_strictly_monotone_classes():
 @example([-0.0, -math.inf])
 def test_logaddexp2_reduce_is_the_last_accumulate(values):
     x = np.array(values)
-    assert float(_fold(x)).hex() == float(np.logaddexp2.accumulate(x)[-1]).hex()
+    assert float(reference_fold(x)).hex() == float(np.logaddexp2.accumulate(x)[-1]).hex()
 
 
 def test_logaddexp2_reduce_is_the_last_accumulate_on_long_arrays(rng):
@@ -198,11 +203,96 @@ def test_logaddexp2_reduce_is_the_last_accumulate_on_long_arrays(rng):
         x = rng.uniform(-3000.0, 10.0, size)
         for part in (x, x[: size // 2 + 1], x[::-1]):
             want = np.logaddexp2.accumulate(part)[-1]
-            assert float(_fold(part)).hex() == float(want).hex()
+            assert float(reference_fold(part)).hex() == float(want).hex()
 
 
-def _fold(x: np.ndarray) -> float:
-    """The reduce ``entropy._cut`` folds its leading levels with: started
-    from the first value, since a start from the identity -inf turns -0.0
-    into +0.0 where accumulate keeps it."""
-    return np.logaddexp2.reduce(x[1:], initial=x[0])
+def random_spectra(rng: np.random.Generator, count: int):
+    """``count`` (spectrum, prefix mass, eps) cases for the cut: class
+    spectra of both ``iid_classes`` spec kinds with n log-uniform up to
+    1e5, and tables with and without ties; eps log-uniform, and drawn
+    above the first level's mass two times in three, so that most scans
+    are seeded."""
+    cases = []
+    while len(cases) < count:
+        kind = len(cases) % 4
+        if kind < 2:
+            n = int(math.exp(rng.uniform(math.log(10.0), math.log(1e5))))
+            q = float(rng.uniform(0.55, 0.95))
+            spec = (f"bernoulli({q})^{n}", f"mix(0.5: bernoulli(1.0)^{n}, 0.5: bernoulli({q})^{n})")
+            s = cli.to_distribution(cli.parse_spec(spec[kind])).levels
+        else:
+            ties = (1.0, 2.0, 3.0, 0.5) if kind == 3 else None
+            s = random_explicit(rng, int(rng.integers(3, 13)), levels=ties).levels
+        prefix_mass = np.cumsum(s.mass)
+        lo = max(float(s.mass[0]) if rng.random() < 2 / 3 else 0.0, 1e-7)
+        hi = 0.9 * float(prefix_mass[-1])
+        if lo < hi:
+            cases.append((s, prefix_mass, math.exp(rng.uniform(math.log(lo), math.log(hi)))))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def spectra():
+    return random_spectra(np.random.default_rng(20261020), 300)
+
+
+def scans(monkeypatch) -> list:
+    """Record the seed of every ``entropy._scan``."""
+    seeds = []
+    scan = entropy._scan
+
+    def spy(s, prefix_mass, eps, start, seed):
+        seeds.append(seed)
+        return scan(s, prefix_mass, eps, start, seed)
+
+    monkeypatch.setattr(entropy, "_scan", spy)
+    return seeds
+
+
+@pytest.mark.parametrize("ulps", [entropy._SEED_ULPS, 0.0, math.inf])
+def test_the_guarded_cut_is_the_exact_fold_cut(ulps, spectra, monkeypatch):
+    # every seeded scan starts from the log-sum; a bound of 0 never falls
+    # back (but on an exact tie of margins), inf always does, and the
+    # default only where the two seeds could part
+    monkeypatch.setattr(entropy, "_FOLD_MAX_START", 1)
+    monkeypatch.setattr(entropy, "_SEED_ULPS", ulps)
+    seeds = scans(monkeypatch)
+    seeded = 0
+    for s, prefix_mass, eps in spectra:
+        start = int(np.searchsorted(prefix_mass, eps, side="right"))
+        seeded += start > 0
+        assert entropy._cut(s, prefix_mass, eps) == reference_cut(s, prefix_mass, eps)
+    assert seeded > 150
+    if ulps == math.inf:
+        assert len(seeds) == len(spectra) + seeded
+    else:
+        assert len(seeds) <= len(spectra) + 3
+
+
+def test_a_cut_level_on_a_lower_level_falls_back_to_the_fold(monkeypatch):
+    # levels 2^-2, 2^-3, 2^-4 and 2^-5 of 1, 2, 4 and 8 outcomes at
+    # eps = 17/32: the scan starts at the third level, whose shave to
+    # (3/4 - 17/32) / 7 = 2^-5 lands on the level below, so the margin is
+    # within rounding of zero and the fold seeds a second scan
+    probs = [2.0**-2] + [2.0**-3] * 2 + [2.0**-4] * 4 + [2.0**-5] * 8
+    table = make_explicit(4, list(enumerate(probs)))
+    s, eps = table.levels, 17 / 32
+    prefix_mass = np.cumsum(s.mass)
+    monkeypatch.setattr(entropy, "_FOLD_MAX_START", 1)
+    seeds = scans(monkeypatch)
+    assert entropy._cut(s, prefix_mass, eps) == reference_cut(s, prefix_mass, eps) == 3
+    assert [float(x).hex() for x in seeds] == [
+        float(entropy.logsumexp2(s.log_count[:2])).hex(),
+        float(reference_fold(s.log_count[:2])).hex(),
+    ]
+    assert entropy.h_min_smooth(table, eps) == 5.0
+
+
+def test_few_leading_levels_seed_the_scan_with_the_fold(monkeypatch):
+    # bernoulli(0.7)^1000 at eps 2e-4 (the README's entropy command) cuts
+    # past 250 levels, fewer than the log-sum pays off for
+    s = bernoulli_product(0.7, 1000).levels
+    prefix_mass = np.cumsum(s.mass)
+    seeds = scans(monkeypatch)
+    assert entropy._cut(s, prefix_mass, 2e-4) == reference_cut(s, prefix_mass, 2e-4)
+    assert [float(x).hex() for x in seeds] == [float(reference_fold(s.log_count[:250])).hex()]

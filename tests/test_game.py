@@ -614,6 +614,18 @@ def test_exact_evaluate_holds_nothing_support_sized(monkeypatch):
         assert _peak_bytes(lambda: exact_evaluate(d, s)) < 1e6
 
 
+def test_a_second_top_reads_the_kept_cumulative_counts(rng):
+    # every probability distinct, so the spectrum has one level per entry
+    # and its cumulative counts are support-sized (8.4 MB at 2^20); they
+    # are built by the first top, and every later one reads them
+    raw = rng.exponential(size=1 << 20)
+    d = probdist._sorted_table(20, np.arange(1 << 20, dtype=np.int64), raw / raw.sum())
+    first = d.levels.top(1000)
+    assert _peak_bytes(lambda: d.levels.top(1000)) < 1e6
+    assert d.levels.top(1000) == first
+    assert _peak_bytes(lambda: d.top(1000)) < 1e6 + d.probs.size
+
+
 def test_monte_carlo_on_plateaus_and_sparse_tables(rng):
     tiny = make_explicit(10, [(i, 5e-324 if i % 3 else 1 / 342) for i in range(1 << 10)])
     sparse = [random_explicit(rng, 20, k) for k in (2, 50, 999)]

@@ -7,7 +7,7 @@ import numpy as np
 
 from szilard import ExplicitDistribution, MixtureOfProducts, TypeClassView, make_explicit
 from szilard.game import MonteCarloEstimate
-from szilard.numerics import binomials
+from szilard.numerics import HALF_LN_2PI, LN2, STIRLING_MIN_K, binomials
 from szilard.probdist import Spectrum, sample_indices
 from szilard.rng import make_rng
 
@@ -207,7 +207,9 @@ def reference_table_levels(view: TypeClassView) -> Spectrum:
 
 
 def reference_cut(s: Spectrum, prefix_mass: np.ndarray, eps: float) -> int:
-    """``entropy._cut`` scanning its doubling chunks from the first level."""
+    """``entropy._cut`` scanning its doubling chunks from the first level,
+    with no seed: the m that the exact fold seed gives (``reference_fold``
+    is the accumulate's value before any start)."""
     size = s.log_p.size
     start, width, acc = 0, 64, None
     while True:
@@ -225,3 +227,47 @@ def reference_cut(s: Spectrum, prefix_mass: np.ndarray, eps: float) -> int:
         if hit.any():
             return start + int(np.argmax(hit)) + 1
         start, width, acc = stop, 2 * width, log_n[-1]
+
+
+def reference_fold(x: np.ndarray) -> float:
+    """The exact fold that seeds ``entropy._cut``'s fallback scan: the
+    sequential left fold of ``logaddexp2``, started from the first value,
+    since a start from the identity -inf turns -0.0 into +0.0 where
+    accumulate keeps it."""
+    return np.logaddexp2.reduce(x[1:], initial=x[0])
+
+
+def reference_log_factorials(n: int) -> np.ndarray:
+    """ln k! for k = 0..n built afresh, as ``numerics`` built it for every
+    distribution before the process shared one row: math.lgamma below
+    STIRLING_MIN_K, the Stirling series in x = k + 1 from there."""
+    row = np.empty(n + 1)
+    row[:STIRLING_MIN_K] = [math.lgamma(k + 1.0) for k in range(STIRLING_MIN_K)]
+    x = np.arange(STIRLING_MIN_K + 1.0, n + 2.0)
+    big = row[STIRLING_MIN_K:]
+    np.log(x, out=big)
+    tmp = x - 0.5
+    big *= tmp
+    big -= x
+    big += HALF_LN_2PI
+    r = np.reciprocal(x, out=x)
+    np.multiply(r, r, out=tmp)
+    tmp /= 1188.0
+    tmp -= 1.0 / 1680.0
+    for c in (1.0 / 1260.0, -1.0 / 360.0, 1.0 / 12.0):
+        tmp *= r
+        tmp *= r
+        tmp += c
+    tmp *= r
+    big += tmp
+    return row
+
+
+def reference_binomial_logs(n: int) -> np.ndarray:
+    """log2 C(n, k) for k = 0..n from a fresh ln k! row, as ``binomials``
+    takes them from the shared one above EXACT_BINOMIAL_MAX_N."""
+    lf = reference_log_factorials(n)
+    logs = lf[n] - lf
+    logs -= lf[::-1]
+    logs /= LN2
+    return logs
