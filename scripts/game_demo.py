@@ -11,7 +11,6 @@ import argparse
 
 from szilard import (
     GameConfig,
-    apply_plan,
     build_riskfree_strategy,
     canonical_permutation,
     exact_evaluate,
@@ -20,6 +19,7 @@ from szilard import (
     smooth_report,
     work_unit,
 )
+from szilard.oracle import apply_permutation, bit_profile
 
 
 def main() -> int:
@@ -34,9 +34,9 @@ def main() -> int:
     print(f"distribution: {dist.as_dict()}   (c = {c.ev:.6g} eV per box)")
     print(f"entropies: {smooth_report(dist, 0.0)}")
 
-    plan = canonical_permutation(dist)
-    print(f"compressed:   {apply_plan(dist, plan).as_dict()}")
-    print(f"box profile:  {[b.kind for b in plan.profile]}")
+    compressed = apply_permutation(dist, canonical_permutation(dist).permutation)
+    print(f"compressed:   {compressed.as_dict()}")
+    print(f"box profile:  {[b.kind for b in bit_profile(compressed)]}")
 
     strategy = build_riskfree_strategy(dist, 0.0, c.joules)
     exact = exact_evaluate(dist, strategy)

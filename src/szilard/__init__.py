@@ -11,13 +11,7 @@ scale.
 
 __version__ = "0.1.0"
 
-from .compress import (
-    BitInfo,
-    CompressionPlan,
-    apply_plan,
-    bit_profile,
-    canonical_permutation,
-)
+from .compress import canonical_permutation
 from .entropy import (
     CutLevel,
     EntropyReport,
@@ -59,7 +53,6 @@ from .probdist import (
     ExplicitDistribution,
     MixtureOfProducts,
     TypeClassView,
-    apply_permutation,
     bernoulli_product,
     explicit_of,
     make_explicit,

@@ -1,43 +1,29 @@
-"""Information-compressing relabelings of the outcome space.
+"""The canonical compression of an explicit table, kept for the benchmark.
 
 A reversible interaction between boxes is, for diagonal (classical) states,
 just a permutation of outcome indices. The canonical compression sorts
 outcomes by descending probability so all support mass lands on the lowest
-indices; the leading boxes then read L with certainty and can be harvested
-for work, while the randomness is squeezed into the trailing boxes.
-``bit_profile`` labels each box known, biased or uniform; Bennett's figure
-read off that profile is a reference in ``oracle``.
+indices. The game plays that compression off the table's spectrum and never
+builds the relabeling; the plan here is read only by the benchmark's tracer
+and probes (``perfbench/tracing.py``, ``perfbench/workloads.py``). The box
+profile, Bennett's figure and the playing of other relabelings are
+references in ``oracle``.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .probdist import ExplicitDistribution, _check_cap, _sorted_table, apply_permutation
-
-#: |marginal(bit=1) - 1/2| below this counts as uniform (explicit-path floats)
-UNIFORMITY_TOL = 1e-12
-
-KNOWN, BIASED, UNIFORM = "known", "biased", "uniform"
-
-
-@dataclass(frozen=True)
-class BitInfo:
-    """Classification of one box after compression."""
-
-    kind: str  # known | biased | uniform
-    value: int | None = None  # fixed content for known bits (0=L, 1=R)
+from .probdist import ExplicitDistribution, _check_cap
 
 
 class CompressionPlan:
     """The probability-sorting relabeling of one table: ``ranks`` (the new
-    index of each support entry), the dense permutation of all 2^n indices
-    (SupportOverflow over DEFAULT_EXPLICIT_CAP) and the profile
-    (``bit_profile`` of the compressed table), each built on first read.
-    The game reads none of them, only the table's levels and top-K mask;
-    ``oracle.relabeled_game_eval`` plays other relabelings.
+    index of each support entry) and the dense permutation of all 2^n
+    indices (SupportOverflow over DEFAULT_EXPLICIT_CAP), each built on first
+    read. The game reads neither, only the table's levels and top-K mask;
+    the benchmark's tracer reads ``permutation`` for its plan bytes.
     """
 
     def __init__(self, table: ExplicitDistribution):
@@ -52,30 +38,6 @@ class CompressionPlan:
         _check_cap(self.table.n)  # SupportOverflow before any 2^n array over the cap
         return _dense_permutation(self.table, self.ranks)
 
-    @functools.cached_property
-    def profile(self) -> tuple[BitInfo, ...]:
-        table = self.table
-        # the compressed table: the levels, descending, on indices 0..k-1
-        levels, k = table.levels, table.support_size
-        return bit_profile(_sorted_table(table.n, np.arange(k), np.repeat(levels.p, levels.count)))
-
-
-def bit_profile(dist: ExplicitDistribution) -> tuple[BitInfo, ...]:
-    """Label each box: known if its content is certain, uniform if its
-    marginal is exactly 1/2 (within UNIFORMITY_TOL), else biased."""
-    out = []
-    for pos in range(dist.n):
-        bits = (dist.indices >> (dist.n - 1 - pos)) & 1
-        if np.all(bits == bits[0]):
-            out.append(BitInfo(KNOWN, int(bits[0])))
-            continue
-        p_one = float(dist.probs[bits == 1].sum() / dist.probs.sum())
-        if abs(p_one - 0.5) <= UNIFORMITY_TOL:
-            out.append(BitInfo(UNIFORM))
-        else:
-            out.append(BitInfo(BIASED))
-    return tuple(out)
-
 
 def canonical_permutation(dist: ExplicitDistribution) -> CompressionPlan:
     """The probability-sorting relabeling, as a plan over ``dist``.
@@ -83,8 +45,8 @@ def canonical_permutation(dist: ExplicitDistribution) -> CompressionPlan:
     Support outcomes map to indices 0..k-1 in order of non-increasing
     probability; ties and the zero-probability remainder keep their original
     index order, which makes recompression the identity. Nothing is computed
-    here: the plan builds its ranks (one stable sort of the probabilities),
-    dense permutation and profile when a caller reads them.
+    here: the plan builds its ranks (one stable sort of the probabilities)
+    and dense permutation when a caller reads them.
     """
     return CompressionPlan(dist)
 
@@ -113,7 +75,3 @@ def _dense_permutation(dist: ExplicitDistribution, ranks: np.ndarray) -> np.ndar
     perm[dist.indices] = ranks
     perm.setflags(write=False)
     return perm
-
-
-def apply_plan(dist: ExplicitDistribution, plan: CompressionPlan) -> ExplicitDistribution:
-    return apply_permutation(dist, plan.permutation)

@@ -98,7 +98,8 @@ class GameConfig:
 @dataclass(frozen=True)
 class Strategy:
     """Compress ``table``, bet L on boxes 0..bet_count-1 and commit the
-    weight; ``bets`` and ``plan`` are derived, and only ``table`` is played."""
+    weight; ``bets`` and ``plan`` are derived, and only ``table`` is played.
+    ``plan`` is read only by the benchmark's tracer, for its plan bytes."""
 
     table: ExplicitDistribution
     bet_count: int
@@ -113,7 +114,7 @@ class Strategy:
         return tuple((pos, 0) for pos in range(self.bet_count))  # (box position, guess)
 
     @property
-    def plan(self):  # the table's canonical compress.CompressionPlan
+    def plan(self):  # the table's canonical compress.CompressionPlan; only the benchmark reads it
         return canonical_permutation(self.table)
 
 

@@ -6,10 +6,12 @@ of the greedy tail cut, grid/rejection sampling instead of the exact cut
 solve, full microstate enumeration instead of support arithmetic, and raw
 search over every permutation/bet/guess instead of the compress-and-bet
 construction, and every position subset and guess instead of the closed-form
-gambler bet. Two references check figures the fast paths read otherwise:
+gambler bet. Three references check figures the fast paths read otherwise:
 the smoothing ball's distance, which each smoothing witness must keep within
-eps, and Bennett's figure from the compressed box profile, which the CLI
-reads off the spectrum. Slow by design, trustworthy by construction.
+eps; the box profile of a relabeled table and Bennett's figure read off it,
+which the CLI reads off the spectrum; and the relabelings themselves
+(``apply_permutation``, ``relabeled_game_eval``), which the game never
+builds. Slow by design, trustworthy by construction.
 """
 from __future__ import annotations
 
@@ -19,15 +21,19 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .compress import BIASED, UNIFORM, BitInfo
-from .errors import ArityMismatch, BiasedBitsPresent, InvalidBets, TooLarge
+from .errors import ArityMismatch, BiasedBitsPresent, InvalidBets, NotBijective, TooLarge
 from .game import ExactResult
-from .probdist import ExplicitDistribution, _as_permutation
+from .probdist import ExplicitDistribution, _from_arrays
 
 _SUBSET_CHUNK = 1 << 16
 #: cut levels on ``brute_hmin_smooth``'s grid, and its random ball members
 _GRID_POINTS = 10_000
 _BALL_SAMPLES = 10_000
+
+#: |marginal(bit=1) - 1/2| below this counts as uniform (explicit-path floats)
+UNIFORMITY_TOL = 1e-12
+
+KNOWN, BIASED, UNIFORM = "known", "biased", "uniform"
 
 
 def brute_hmax_smooth(dist: ExplicitDistribution, eps: float) -> float:
@@ -99,6 +105,31 @@ def statistical_distance(p: ExplicitDistribution, q: ExplicitDistribution) -> fl
     return float(np.maximum(pv - qv, 0.0).sum())
 
 
+@dataclass(frozen=True)
+class BitInfo:
+    """Classification of one box after compression."""
+
+    kind: str  # known | biased | uniform
+    value: int | None = None  # fixed content for known bits (0=L, 1=R)
+
+
+def bit_profile(dist: ExplicitDistribution) -> tuple[BitInfo, ...]:
+    """Label each box: known if its content is certain, uniform if its
+    marginal is exactly 1/2 (within UNIFORMITY_TOL), else biased."""
+    out = []
+    for pos in range(dist.n):
+        bits = (dist.indices >> (dist.n - 1 - pos)) & 1
+        if np.all(bits == bits[0]):
+            out.append(BitInfo(KNOWN, int(bits[0])))
+            continue
+        p_one = float(dist.probs[bits == 1].sum() / dist.probs.sum())
+        if abs(p_one - 0.5) <= UNIFORMITY_TOL:
+            out.append(BitInfo(UNIFORM))
+        else:
+            out.append(BitInfo(BIASED))
+    return tuple(out)
+
+
 def bennett_work(profile: tuple[BitInfo, ...], c: float) -> float:
     """(n - #uniform) * c for profiles with no biased boxes.
 
@@ -127,6 +158,23 @@ def _match_mask(indices: np.ndarray, n: int, bets) -> np.ndarray:
         mask |= 1 << (n - 1 - pos)
         want |= val << (n - 1 - pos)
     return (indices & mask) == want
+
+
+def _as_permutation(permutation, n: int) -> np.ndarray:
+    """``permutation``, an integer array, as int64, checked to be a bijection
+    on the 2^n outcome indices."""
+    perm = np.asarray(permutation)
+    if not np.issubdtype(perm.dtype, np.integer):  # a cast would truncate floats
+        raise NotBijective(f"permutation entries are {perm.dtype}, not integers")
+    perm = perm.astype(np.int64, copy=False)
+    if perm.shape != (1 << n,) or not np.array_equal(np.sort(perm), np.arange(1 << n)):
+        raise NotBijective(f"not a bijection on 2^{n} outcome indices")
+    return perm
+
+
+def apply_permutation(p: ExplicitDistribution, permutation: np.ndarray) -> ExplicitDistribution:
+    """Relabel outcomes: new index of outcome x is permutation[x]."""
+    return _from_arrays(p.n, _as_permutation(permutation, p.n)[p.indices], p.probs)
 
 
 def relabeled_game_eval(

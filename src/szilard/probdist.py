@@ -29,7 +29,6 @@ from .errors import (
     IndexOutOfRange,
     MixedArity,
     NegativeProbability,
-    NotBijective,
     NotNormalized,
     SupportOverflow,
     SzilardError,
@@ -550,23 +549,6 @@ def explicit_of(
         np.add.at(count, level, view.class_count[support].astype(np.int64))
         vars(table)["levels"] = _table_spectrum(view.n, p, count)
     return table
-
-
-def _as_permutation(permutation, n: int) -> np.ndarray:
-    """``permutation``, an integer array, as int64, checked to be a bijection
-    on the 2^n outcome indices."""
-    perm = np.asarray(permutation)
-    if not np.issubdtype(perm.dtype, np.integer):  # a cast would truncate floats
-        raise NotBijective(f"permutation entries are {perm.dtype}, not integers")
-    perm = perm.astype(np.int64, copy=False)
-    if perm.shape != (1 << n,) or not np.array_equal(np.sort(perm), np.arange(1 << n)):
-        raise NotBijective(f"not a bijection on 2^{n} outcome indices")
-    return perm
-
-
-def apply_permutation(p: ExplicitDistribution, permutation: np.ndarray) -> ExplicitDistribution:
-    """Relabel outcomes: new index of outcome x is permutation[x]."""
-    return _from_arrays(p.n, _as_permutation(permutation, p.n)[p.indices], p.probs)
 
 
 def sample_indices(

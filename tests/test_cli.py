@@ -33,9 +33,8 @@ from szilard.cli import (
     parse_spec,
     to_distribution,
 )
-from szilard.compress import BIASED
 from szilard.errors import ArityMismatch, ParseError, WeightSumError
-from szilard.oracle import bennett_work
+from szilard.oracle import BIASED, apply_permutation, bennett_work, bit_profile
 
 from util import prob_of, random_explicit
 
@@ -216,7 +215,8 @@ def test_cmd_work_bennett_matches_the_compressed_profile(rng):
             d = random_explicit(rng, n)
         text = _explicit_spec(d)
         bennett = cmd_work(text, 1e-3, 300.0)["bennett"]
-        profile = canonical_permutation(to_distribution(parse_spec(text))).profile
+        d = to_distribution(parse_spec(text))
+        profile = bit_profile(apply_permutation(d, canonical_permutation(d).permutation))
         if any(b.kind == BIASED for b in profile):
             assert bennett is None, text
         else:

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from szilard import (
-    apply_plan,
     bernoulli_product,
-    bit_profile,
     canonical_permutation,
     explicit_of,
     make_explicit,
@@ -16,9 +14,8 @@ from szilard import (
     uniform_product,
 )
 from szilard import compress, probdist
-from szilard.compress import BIASED, KNOWN, UNIFORM, BitInfo
 from szilard.errors import NotBijective, SupportOverflow
-from szilard.probdist import apply_permutation
+from szilard.oracle import BIASED, KNOWN, UNIFORM, apply_permutation, bit_profile
 
 from util import cnot, random_explicit, same_table
 
@@ -56,10 +53,11 @@ def test_cnot_argument_errors():
 
 def test_canonical_permutation_on_correlated_pair():
     plan = canonical_permutation(correlated_pair())
-    compressed = apply_plan(correlated_pair(), plan)
+    compressed = apply_permutation(correlated_pair(), plan.permutation)
     assert compressed.as_dict() == pytest.approx({"LL": 0.5, "LR": 0.5})
-    assert plan.profile[0].kind == KNOWN and plan.profile[0].value == 0
-    assert plan.profile[1].kind == UNIFORM
+    profile = bit_profile(compressed)
+    assert profile[0].kind == KNOWN and profile[0].value == 0
+    assert profile[1].kind == UNIFORM
 
 
 def test_sorted_distribution_compresses_to_identity():
@@ -71,20 +69,21 @@ def test_sorted_distribution_compresses_to_identity():
 def test_worked_example_compacts_to_leading_indices():
     pex = make_explicit(3, [(0, 0.5), (1, 0.49998), (2, 1e-5), (3, 1e-5)])
     plan = canonical_permutation(pex)
-    compressed = apply_plan(pex, plan)
+    compressed = apply_permutation(pex, plan.permutation)
     assert set(compressed.indices.tolist()) == {0, 1, 2, 3}
-    assert plan.profile[0].kind == KNOWN and plan.profile[0].value == 0
+    profile = bit_profile(compressed)
+    assert profile[0].kind == KNOWN and profile[0].value == 0
 
 
 def test_compaction_bound(rng):
     for _ in range(20):
         d = random_explicit(rng, int(rng.integers(1, 6)))
         plan = canonical_permutation(d)
-        compressed = apply_plan(d, plan)
+        compressed = apply_permutation(d, plan.permutation)
         k = compressed.support_size
         assert compressed.indices.max() == k - 1  # support fills 0..k-1
         leading_known = sum(
-            1 for b in plan.profile if b.kind == KNOWN and b.value == 0
+            1 for b in bit_profile(compressed) if b.kind == KNOWN and b.value == 0
         )
         assert leading_known >= d.n - math.ceil(math.log2(k)) if k > 1 else True
 
@@ -92,7 +91,7 @@ def test_compaction_bound(rng):
 def test_compression_is_idempotent(rng):
     for _ in range(10):
         d = random_explicit(rng, 4)
-        compressed = apply_plan(d, canonical_permutation(d))
+        compressed = apply_permutation(d, canonical_permutation(d).permutation)
         again = canonical_permutation(compressed)
         assert np.array_equal(again.permutation, np.arange(1 << d.n))
 
@@ -101,7 +100,7 @@ def test_entropy_report_invariant_under_plan(rng):
     for _ in range(10):
         d = random_explicit(rng, 4)
         eps = float(rng.uniform(0.0, 0.3))
-        compressed = apply_plan(d, canonical_permutation(d))
+        compressed = apply_permutation(d, canonical_permutation(d).permutation)
         assert smooth_report(compressed, eps) == smooth_report(d, eps)
 
 
@@ -139,16 +138,14 @@ def test_canonical_permutation_matches_reference_construction(rng, case):
         plan = canonical_permutation(d)
         perm, profile = reference_plan(d)
         assert np.array_equal(plan.permutation, perm)
-        assert plan.profile == profile
-        assert plan.profile == bit_profile(apply_plan(d, plan))
         if case == "uniform":
-            assert all(b.kind == UNIFORM for b in plan.profile)
+            assert all(b.kind == UNIFORM for b in profile)
 
 
 def test_canonical_plan_holds_ranks_and_builds_the_rest_on_request(rng):
     for d in (random_explicit(rng, 6), random_explicit(rng, 12, 40)):
         plan = canonical_permutation(d)
-        assert not {"ranks", "permutation", "profile"} & set(vars(plan))
+        assert not {"ranks", "permutation"} & set(vars(plan))
         assert sorted(plan.ranks.tolist()) == list(range(d.support_size))
         # the dense permutation takes each support entry to its rank
         assert np.array_equal(plan.permutation[d.indices], plan.ranks)
@@ -162,16 +159,11 @@ def test_a_dense_permutation_over_the_cap_is_refused_before_it_is_built(monkeypa
     monkeypatch.setattr(compress, "_dense_permutation", refuse)
     d = point_mass("L" * n)
     plan = canonical_permutation(d)
-    for read in (
-        lambda: plan.permutation,
-        lambda: apply_plan(d, plan),
-    ):
-        with pytest.raises(SupportOverflow):
-            read()
+    with pytest.raises(SupportOverflow):
+        plan.permutation
     assert not {"ranks", "permutation"} & set(vars(plan))
     # the plan's own table is still relabeled by its ranks
     assert plan.ranks.tolist() == [0]
-    assert plan.profile == tuple(BitInfo(KNOWN, 0) for _ in range(n))
 
 
 @pytest.mark.parametrize("distinct", [1, 256, 257, 65536, 65537])
@@ -234,5 +226,5 @@ def test_point_mass_profile_all_known():
 
 def test_biased_bit_appears_for_iid_bernoulli():
     d = explicit_of(bernoulli_product(0.7, 2))
-    compressed = apply_plan(d, canonical_permutation(d))
+    compressed = apply_permutation(d, canonical_permutation(d).permutation)
     assert any(b.kind == BIASED for b in bit_profile(compressed))

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from szilard import (
-    apply_plan,
     bernoulli_product,
-    bit_profile,
     build_riskfree_strategy,
     canonical_permutation,
     exact_evaluate,
@@ -19,7 +17,6 @@ from szilard import (
     riskfree_work,
     uniform_product,
 )
-from szilard.compress import BIASED
 from szilard.errors import (
     ArityMismatch,
     BiasedBitsPresent,
@@ -28,7 +25,10 @@ from szilard.errors import (
     TooLarge,
 )
 from szilard.oracle import (
+    BIASED,
+    apply_permutation,
     bennett_work,
+    bit_profile,
     brute_hmax_smooth,
     brute_hmin_smooth,
     exhaustive_gambler_search,
@@ -218,8 +218,9 @@ def test_distance_arity_mismatch():
 
 
 def test_bennett_work_on_known_uniform_profile():
-    plan = canonical_permutation(make_explicit(2, [("LL", 0.5), ("RR", 0.5)]))
-    assert bennett_work(plan.profile, 1.0) == 1.0
+    d = make_explicit(2, [("LL", 0.5), ("RR", 0.5)])
+    profile = bit_profile(apply_permutation(d, canonical_permutation(d).permutation))
+    assert bennett_work(profile, 1.0) == 1.0
 
 
 def test_bennett_all_known():
@@ -244,7 +245,7 @@ def test_bennett_matches_riskfree_work_at_zero_epsilon():
     ]
     for d in cases:
         plan = canonical_permutation(d)
-        compressed = apply_plan(d, plan)
+        compressed = apply_permutation(d, plan.permutation)
         profile = bit_profile(compressed)
         if any(b.kind == BIASED for b in profile):
             continue

@@ -1,8 +1,8 @@
 """The library's public surface, read from the source with ``ast``: every
 exported name and every public class member of the engine modules has a
 caller outside the tests or a decision that keeps it, no module imports a
-name it does not use, every error class is raised, and the README's
-Library example runs."""
+name it does not use, no engine module imports the oracle, every error
+class is raised, and the README's Library example runs."""
 import ast
 import os
 import re
@@ -99,6 +99,19 @@ def test_no_module_imports_a_name_it_does_not_use():
         }
         unused = sorted(imported - _used_names(tree))
         assert unused == [], f"{name} imports {unused} and never uses them"
+
+
+def test_no_engine_module_imports_the_oracle():
+    """The oracle checks the engine, so the engine may not lean on it."""
+    modules = _modules()
+    for name in ENGINE:
+        imported = set()
+        for node in ast.walk(modules[name]):
+            if isinstance(node, ast.Import):
+                imported |= {part for alias in node.names for part in alias.name.split(".")}
+            elif isinstance(node, ast.ImportFrom):  # also ``from . import oracle``
+                imported |= set((node.module or "").split(".")) | {alias.name for alias in node.names}
+        assert "oracle" not in imported, f"{name} imports the oracle"
 
 
 def test_every_error_class_is_raised_by_another_module():
