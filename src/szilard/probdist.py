@@ -10,7 +10,10 @@ than 2^1000 entries.
 
 Every representation carries its ``Spectrum`` as the cached property
 ``levels``: the distinct per-outcome probabilities with their
-multiplicities, computed on first read and kept on the object.
+multiplicities, computed on first read and kept on the object. A table
+that ``explicit_of`` builds over every outcome keeps only its n + 1 class
+probabilities and gathers its 2^n entries on their first read, so a
+caller that reads only ``levels`` and ``support_size`` never builds them.
 
 An outcome is its index or its L/R string. Indices are big-endian: box 0
 is the most significant bit, L=0, R=1, so the all-L string is index 0.
@@ -104,14 +107,17 @@ class ExplicitDistribution:
 
     A table that holds every outcome is built with ``indices=None``: its
     indices are 0..2^n-1, and the range is allocated on first read only.
+    ``explicit_of`` builds such a table without its ``probs`` too: it keeps
+    the n + 1 class probabilities, and the entries are gathered from them
+    on first read.
     """
 
     n: int
-    probs: np.ndarray
 
-    def __init__(self, n: int, indices: np.ndarray | None, probs: np.ndarray):
+    def __init__(self, n: int, indices: np.ndarray | None, probs: np.ndarray | None):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "probs", probs)
+        if probs is not None:
+            vars(self)["probs"] = probs
         if indices is not None:
             vars(self)["indices"] = indices
 
@@ -120,8 +126,18 @@ class ExplicitDistribution:
         """0..2^n-1, for a table built without its indices."""
         return _freeze(np.arange(1 << self.n, dtype=np.int64))
 
+    @functools.cached_property
+    def probs(self) -> np.ndarray:
+        """Every outcome's class probability, for a table ``explicit_of``
+        built without its entries: gathered from the ``_class_p`` it keeps."""
+        return _freeze(_gather(self.n, self._class_p))
+
     @property
     def support_size(self) -> int:
+        """Entries in the support; a table whose entries are not built yet
+        holds every outcome."""
+        if "probs" not in vars(self):
+            return 1 << self.n
         return int(self.probs.size)
 
     @functools.cached_property
@@ -514,12 +530,11 @@ def explicit_of(
     zero and drop out of the support. Both size limits are checked on
     ``dist.n`` before any class is built.
 
-    Each string takes its class's probability through its Hamming weight.
-    An index splits into its high and low n/2 bits, and its weight is the
-    sum of theirs, so the table is a row per high half: row a of the
-    (hi + 1) x 2^lo gather ``class_p[a + w_lo]`` serves every high half of
-    weight a, and is copied whole into place. Where every class is
-    positive the table holds every outcome and carries no index array.
+    Each string takes its class's probability through its Hamming weight
+    (``_gather``). Where every class is positive the table holds every
+    outcome: it carries no index array and keeps only the class
+    probabilities, and its entries are gathered on their first read.
+    Otherwise the entries are gathered here and the zero ones dropped.
     Where the exact class counts are known, the table's ``levels`` come
     from the n + 1 class probabilities, so the table is never sorted:
     ``np.unique`` over the classes gives its distinct probabilities, and
@@ -530,17 +545,13 @@ def explicit_of(
     _check_class_limit(dist.n)
     _check_cap(dist.n)
     view = to_type_classes(dist) if isinstance(dist, MixtureOfProducts) else dist
-    lo = view.n // 2
-    hi = view.n - lo
-    w_lo = np.bitwise_count(np.arange(1 << lo))
-    w_hi = np.bitwise_count(np.arange(1 << hi))
-    class_p = np.exp2(view.class_log_prob)
-    rows = class_p[np.arange(hi + 1)[:, None] + w_lo]
-    probs = rows[w_hi].reshape(-1)
+    class_p = _freeze(np.exp2(view.class_log_prob))
     support = class_p > 0.0
     if support.all():
-        table = ExplicitDistribution(view.n, None, _freeze(probs))
+        table = ExplicitDistribution(view.n, None, None)
+        vars(table)["_class_p"] = class_p
     else:
+        probs = _gather(view.n, class_p)
         keep = probs > 0.0
         table = ExplicitDistribution(view.n, _freeze(np.flatnonzero(keep)), _freeze(probs[keep]))
     if view.class_count is not None:
@@ -549,6 +560,22 @@ def explicit_of(
         np.add.at(count, level, view.class_count[support].astype(np.int64))
         vars(table)["levels"] = _table_spectrum(view.n, p, count)
     return table
+
+
+def _gather(n: int, class_p: np.ndarray) -> np.ndarray:
+    """Every string's probability ``class_p[weight]``, in index order.
+
+    An index splits into its high and low n/2 bits, and its weight is the
+    sum of theirs, so the table is a row per high half: row a of the
+    (hi + 1) x 2^lo gather ``class_p[a + w_lo]`` serves every high half of
+    weight a, and is copied whole into place.
+    """
+    lo = n // 2
+    hi = n - lo
+    w_lo = np.bitwise_count(np.arange(1 << lo))
+    w_hi = np.bitwise_count(np.arange(1 << hi))
+    rows = class_p[np.arange(hi + 1)[:, None] + w_lo]
+    return rows[w_hi].reshape(-1)
 
 
 def sample_indices(

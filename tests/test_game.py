@@ -31,7 +31,7 @@ from szilard import (
     work_bounds,
     work_unit,
 )
-from szilard import compress, entropy, game, probdist
+from szilard import cli, compress, entropy, game, probdist
 from szilard.errors import (
     BadBetSize,
     BadEpsilon,
@@ -593,6 +593,7 @@ def test_monte_carlo_holds_no_support_sized_cdf():
     # a mask that flips at every entry has an edge at each: held once, not twice
     d = explicit_of(uniform_product(20))
     mask = np.arange(d.support_size) % 2 == 0
+    d.probs  # the table's own entries are built on first read, outside the region
     peak = _peak_bytes(lambda: probdist._draws_in(d, mask, make_rng(1), 100_000))
     assert peak < 1.5 * d.probs.nbytes
 
@@ -612,6 +613,38 @@ def test_exact_evaluate_holds_nothing_support_sized(monkeypatch):
     monkeypatch.setattr(probdist.ExplicitDistribution, "top", refuse)
     for d, s in games:
         assert _peak_bytes(lambda: exact_evaluate(d, s)) < 1e6
+
+
+def test_a_game_that_bets_no_box_builds_no_entries(monkeypatch):
+    # at eps 1e-3 the risk-free bet on bernoulli(0.7)^22 (and ^24) is 0
+    # boxes: it wins on the whole support, so every stage reads only the
+    # levels and the support size, and the 2^n entries (32 MB at n = 22)
+    # are never gathered
+    eps, tables = 1e-3, []
+
+    def play():
+        d = explicit_of(bernoulli_product(0.7, 22))
+        tables.append(d)
+        entropy.smooth_report(d, eps)
+        s = build_riskfree_strategy(d, eps, 1.0)
+        assert s.bet_count == 0
+        exact = exact_evaluate(d, s)
+        assert monte_carlo(d, s, GameConfig(epsilon=eps)).success_rate == 1.0
+        assert check_inequalities(d, s, exact, eps, 1.0) == []
+
+    assert _peak_bytes(play) < 1e6
+    assert "probs" not in vars(tables[0])
+
+    build = probdist.explicit_of
+
+    def kept(dist):
+        tables.append(build(dist))
+        return tables[-1]
+
+    monkeypatch.setattr(probdist, "explicit_of", kept)
+    peak = _peak_bytes(lambda: cli.cmd_game("bernoulli(0.7)^24", "riskfree", None, GameConfig()))
+    assert peak < 1e6
+    assert tables[-1].n == 24 and "probs" not in vars(tables[-1])
 
 
 def test_a_second_top_reads_the_kept_cumulative_counts(rng):

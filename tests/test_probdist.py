@@ -37,6 +37,7 @@ from szilard.oracle import apply_permutation, bit_profile, statistical_distance
 from szilard.rng import make_rng
 
 from util import (
+    eager_class_gather,
     popcount,
     prob_of,
     random_explicit,
@@ -405,6 +406,37 @@ def test_the_row_gather_is_the_flat_class_gather():
             assert np.array_equal(d.probs, flat[keep])
             assert np.array_equal(d.indices, np.flatnonzero(keep))
             assert not d.indices.flags.writeable and not d.probs.flags.writeable
+
+
+def test_lazy_entries_are_the_eager_gather_bit_for_bit():
+    # spread components alone and beside point masses: every class is
+    # positive, so the table keeps its class probabilities and gathers its
+    # entries on first read
+    for n in range(1, 17):
+        families = [bernoulli_product(q, n) for q in (0.5, 0.7, 0.9)] + [
+            mixture([0.3, 0.7], [bernoulli_product(0.2, n), bernoulli_product(0.8, n)]),
+            mixture([0.5, 0.5], [bernoulli_product(1.0, n), bernoulli_product(0.6, n)]),
+            mixture(
+                [0.2, 0.5, 0.3],
+                [bernoulli_product(0.0, n), bernoulli_product(0.9, n), bernoulli_product(1.0, n)],
+            ),
+        ]
+        for m in families:
+            want = eager_class_gather(to_type_classes(m))
+            d = explicit_of(m)
+            levels = d.levels
+            assert "probs" not in vars(d) and d.support_size == 1 << n
+            probs = d.probs
+            assert probs.dtype == want.dtype and np.array_equal(probs, want)
+            assert not probs.flags.writeable and d.probs is probs
+            assert d.support_size == 1 << n and d.levels is levels
+            assert "indices" not in vars(d)
+            eager = probdist.ExplicitDistribution(n, None, want).levels
+            for field in dataclasses.fields(eager)[1:]:
+                got, ref = getattr(levels, field.name), getattr(eager, field.name)
+                assert got.dtype == ref.dtype and np.array_equal(got, ref), field.name
+    # a table that drops underflowed strings finds its support up front
+    assert "probs" in vars(explicit_of(bernoulli_product(1e-200, 3)))
 
 
 def test_tables_of_every_outcome_carry_no_index_array(rng):

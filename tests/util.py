@@ -271,3 +271,18 @@ def reference_binomial_logs(n: int) -> np.ndarray:
     logs -= lf[::-1]
     logs /= LN2
     return logs
+
+
+def eager_class_gather(view: TypeClassView) -> np.ndarray:
+    """Every string's class probability in index order, gathered as
+    ``explicit_of`` once built every table of every outcome up front: a row
+    per high half of the index, ``class_p[a + w_lo]`` for high-half weight
+    a, copied whole into place. The reference its lazy entries are
+    checked against, bit for bit."""
+    lo = view.n // 2
+    hi = view.n - lo
+    w_lo = np.bitwise_count(np.arange(1 << lo))
+    w_hi = np.bitwise_count(np.arange(1 << hi))
+    class_p = np.exp2(view.class_log_prob)
+    rows = class_p[np.arange(hi + 1)[:, None] + w_lo]
+    return rows[w_hi].reshape(-1)
