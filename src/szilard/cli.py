@@ -404,9 +404,9 @@ def cmd_oracle(spec_text: str, eps: float, seed: int) -> dict:
 def _read_spec(args) -> str:
     if args.spec is not None and args.spec_file is not None:
         raise UsageError("give --spec or --spec-file, not both")
-    if args.spec:
+    if args.spec is not None:
         return args.spec
-    if args.spec_file:
+    if args.spec_file is not None:
         try:
             with open(args.spec_file, encoding="utf-8") as fh:
                 return fh.read().strip()

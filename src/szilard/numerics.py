@@ -3,13 +3,16 @@
 Everything downstream works in log2 space so that supports of size 2^1000
 and per-string probabilities of order 2^-1000 stay representable.
 
-Above EXACT_BINOMIAL_MAX_N the binomial row comes from one row of ln k!
+Up to EXACT_BINOMIAL_MAX_N the exact binomial row of an n is built once
+and kept, read-only, for the last eight n asked for, so every spectrum at
+one n shares it. Above that the binomial row comes from one row of ln k!
 that the process shares: it is built on the first ask, extended when a
 larger n is asked for, and never rebuilt, so a process that computes
 many spectra pays for each k once.
 """
 from __future__ import annotations
 
+import functools
 import math
 import threading
 
@@ -42,29 +45,41 @@ def logsumexp2(values) -> float:
 def binomials(n: int) -> tuple[np.ndarray, np.ndarray | None]:
     """log2 C(n, k) for k = 0..n, and the exact C(n, k) where they are kept.
 
-    Up to EXACT_BINOMIAL_MAX_N the row is built from exact big-int
-    binomials, returned as an object array of Python ints beside their
-    logs (math.log2 of a Python int is correctly rounded). Only k <= n/2 is
-    computed; C(n, k) = C(n, n - k) mirrors it, logs included. Beyond that
-    only the logs from ``_log_factorials`` exist and the exact row is None.
+    Up to EXACT_BINOMIAL_MAX_N both come from ``_exact_row``: an object
+    array of Python ints beside their logs (math.log2 of a Python int is
+    correctly rounded), read-only and shared by every caller that asks for
+    the same n while it is among the last eight asked for. Beyond that only
+    the logs from ``_log_factorials`` exist, a fresh array, and the exact
+    row is None.
     """
     if n <= EXACT_BINOMIAL_MAX_N:
-        exact = np.empty(n + 1, dtype=object)
-        logs = np.empty(n + 1)
-        half = n // 2
-        row = 1
-        for k in range(half + 1):
-            exact[k] = row
-            logs[k] = math.log2(row)
-            row = row * (n - k) // (k + 1)
-        exact[n - half :] = exact[half::-1]
-        logs[n - half :] = logs[half::-1]
-        return logs, exact
+        return _exact_row(n)
     lf = _log_factorials(n)
     logs = lf[n] - lf
     logs -= lf[::-1]
     logs /= LN2
     return logs, None
+
+
+@functools.lru_cache(maxsize=8)
+def _exact_row(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """log2 C(n, k) and C(n, k) for k = 0..n from big-int binomials, both
+    read-only. Only k <= n/2 is computed; C(n, k) = C(n, n - k) mirrors it,
+    logs included. A row takes 76 KiB at n = 1000 and 256 KiB at n = 2048,
+    so the eight kept hold at most about 2 MiB."""
+    exact = np.empty(n + 1, dtype=object)
+    logs = np.empty(n + 1)
+    half = n // 2
+    row = 1
+    for k in range(half + 1):
+        exact[k] = row
+        logs[k] = math.log2(row)
+        row = row * (n - k) // (k + 1)
+    exact[n - half :] = exact[half::-1]
+    logs[n - half :] = logs[half::-1]
+    logs.setflags(write=False)
+    exact.setflags(write=False)
+    return logs, exact
 
 
 #: ln k! for k = 0..len - 1, read-only; ``_log_factorials`` grows it

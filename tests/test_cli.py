@@ -370,6 +370,17 @@ def test_cli_error_envelope_missing_spec(capsys):
     assert envelope["code"] == "SzilardError"
 
 
+def test_an_empty_spec_is_read_as_given(tmp_path, capsys):
+    # --spec "" reads as an empty spec file does: a parse error at 1:1
+    (tmp_path / "empty.txt").write_text("")
+    envelopes = []
+    for argv in (["entropy", "--spec", ""], ["entropy", "--spec-file", str(tmp_path / "empty.txt")]):
+        assert main(argv) == 1
+        envelopes.append(json.loads(capsys.readouterr().err))
+    assert envelopes[0] == envelopes[1]
+    assert (envelopes[0]["code"], envelopes[0]["line"], envelopes[0]["col"]) == ("ParseError", 1, 1)
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -411,6 +422,9 @@ def test_cli_error_envelope_missing_spec(capsys):
         (["entropy", "--spec-file", "{tmp}/missing.txt"], "UnreadableSpecFile"),
         (["entropy", "--spec-file", "{tmp}"], "UnreadableSpecFile"),
         (["entropy", "--spec-file", "{tmp}/latin1.txt"], "UnreadableSpecFile"),
+        # an empty flag is given, not missing: an empty spec fails to parse, an empty path to open
+        (["entropy", "--spec", ""], "ParseError"),
+        (["entropy", "--spec-file", ""], "UnreadableSpecFile"),
         # the spec comes from one place: a spec file beside --spec is refused, not ignored
         (["entropy", "--spec", "uniform^2", "--spec-file", "{tmp}/missing.txt"], "UsageError"),
         # spec integers are ASCII digits: a superscript or an Arabic-Indic digit is no integer

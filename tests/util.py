@@ -7,7 +7,7 @@ import numpy as np
 
 from szilard import ExplicitDistribution, MixtureOfProducts, TypeClassView, make_explicit
 from szilard.game import MonteCarloEstimate
-from szilard.numerics import HALF_LN_2PI, LN2, STIRLING_MIN_K, binomials
+from szilard.numerics import EXACT_BINOMIAL_MAX_N, HALF_LN_2PI, LN2, STIRLING_MIN_K
 from szilard.probdist import Spectrum, sample_indices
 from szilard.rng import make_rng
 
@@ -149,7 +149,9 @@ def random_mixture_params(rng: np.random.Generator, n: int, max_components: int 
 
 def reference_type_classes(m: MixtureOfProducts) -> TypeClassView:
     """``to_type_classes`` with one guarded row per component and one
-    log-sum over all of them."""
+    log-sum over all of them, and binomial counts built afresh: ``math.comb``
+    and their ``math.log2`` up to EXACT_BINOMIAL_MAX_N, a fresh ln k! row
+    above, never the rows ``numerics`` shares."""
     n = m.n
     ks = np.arange(n + 1, dtype=float)
     per_component = np.full((len(m.components), n + 1), -np.inf)
@@ -171,7 +173,11 @@ def reference_type_classes(m: MixtureOfProducts) -> TypeClassView:
                 mx + np.log2(np.sum(np.exp2(per_component - safe), axis=0)),
                 -np.inf,
             )
-    log_count, count = binomials(n)
+    if n <= EXACT_BINOMIAL_MAX_N:
+        count = np.array([math.comb(n, k) for k in range(n + 1)], dtype=object)
+        log_count = np.array([math.log2(c) for c in count])
+    else:
+        count, log_count = None, reference_binomial_logs(n)
     return TypeClassView(n, log_prob, log_count, count)
 
 
