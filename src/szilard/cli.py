@@ -538,7 +538,7 @@ def run(argv: list[str] | None = None) -> int:
             header, rows = cmd_figure3(args.p, args.epsilon, _parse_n_list(args.n_list))
         result = _rows_to_json(header, rows)
     if getattr(args, "format", "json") == "json":
-        sys.stdout.write(json.dumps(result, indent=2) + "\n")
+        sys.stdout.write(json.dumps(result, indent=2, allow_nan=False) + "\n")
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)

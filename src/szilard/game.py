@@ -172,7 +172,7 @@ def gambler_work_bound(dist: Distribution, eps: float, c: float) -> Work:
     """
     if eps <= 0.0:
         raise BadEpsilon("the gambling bound needs epsilon > 0")
-    bits = dist.n - h_min_smooth(dist, eps) + math.log2(1.0 / eps)
+    bits = dist.n - h_min_smooth(dist, eps) - math.log2(eps)
     return Work.from_bits(bits, c)
 
 
@@ -285,7 +285,7 @@ def check_inequalities(
                 f"gambling bound {bounds.max_work.bits:.6g} bits"
             )
     if eps > 0.0 and exact.success_prob > eps:
-        cap = dist.n - h_min(dist) + math.log2(1.0 / eps)
+        cap = dist.n - h_min(dist) - math.log2(eps)
         if not strategy.bet_count < cap:
             violations.append(
                 f"{strategy.bet_count} bets succeed with p={exact.success_prob:.6g} "
@@ -293,8 +293,8 @@ def check_inequalities(
             )
         # the winning cell holds at most eps + 2^(n-b) 2^(-H_min^eps)
         smoothed_cap = (
-            bounds.max_work.bits - math.log2(1.0 / eps)
-            + math.log2(1.0 / (exact.success_prob - eps))
+            bounds.max_work.bits + math.log2(eps)
+            - math.log2(exact.success_prob - eps)
         )
         if strategy.bet_count > smoothed_cap + 1e-9:
             violations.append(

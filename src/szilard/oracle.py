@@ -21,7 +21,14 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .errors import ArityMismatch, BiasedBitsPresent, InvalidBets, NotBijective, TooLarge
+from .errors import (
+    ArityMismatch,
+    BadEpsilon,
+    BiasedBitsPresent,
+    InvalidBets,
+    NotBijective,
+    TooLarge,
+)
 from .game import ExactResult
 from .probdist import ExplicitDistribution, _from_arrays
 
@@ -36,11 +43,19 @@ UNIFORMITY_TOL = 1e-12
 KNOWN, BIASED, UNIFORM = "known", "biased", "uniform"
 
 
+def _check_epsilon(eps: float):
+    """At eps >= 1 the smoothing ball holds the empty table, which has no
+    entropy; the oracle keeps its own check rather than read ``entropy``'s."""
+    if not 0.0 <= eps < 1.0:
+        raise BadEpsilon(f"need 0 <= epsilon < 1, got {eps}")
+
+
 def brute_hmax_smooth(dist: ExplicitDistribution, eps: float) -> float:
     """Minimal log2 support over all deletions of total mass <= eps.
 
     Enumerates every subset of the support as a removal candidate.
     """
+    _check_epsilon(eps)
     s = dist.support_size
     if s > 20:
         raise TooLarge(f"support {s} > 20")
@@ -65,6 +80,7 @@ def brute_hmin_smooth(
     A lower bound on the true smooth min-entropy; the greedy solve must
     beat or tie every candidate produced here.
     """
+    _check_epsilon(eps)
     s = dist.support_size
     if s > 20:
         raise TooLarge(f"support {s} > 20")

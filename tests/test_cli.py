@@ -14,6 +14,7 @@ from szilard import (
     ExplicitDistribution,
     MixtureOfProducts,
     canonical_permutation,
+    cli,
     compress,
     probdist,
     riskfree_work_executable,
@@ -397,6 +398,9 @@ def test_an_empty_spec_is_read_as_given(tmp_path, capsys):
         (["game", "--spec", "bernoulli(0.7)^4", "--strategy", "gambler", "--bet-size", "2",
           "--seed", "-1"], "BadSeed"),
         (["oracle", "--spec", "bernoulli(0.7)^4", "--seed", "-1"], "BadSeed"),
+        # the oracle refuses an eps whose ball holds the empty table, as the solvers do
+        (["oracle", "--spec", "uniform^2", "--epsilon", "1"], "BadEpsilon"),
+        (["oracle", "--spec", "bernoulli(0.7)^4", "--epsilon", "1.5"], "BadEpsilon"),
         (["work", "--spec", "uniform^2", "--temperature-kelvin", "nan"], "NonpositiveTemperature"),
         (["work", "--spec", "uniform^2", "--temperature-kelvin", "inf"], "NonpositiveTemperature"),
         (["game", "--spec", "uniform^2", "--temperature-kelvin", "nan"], "NonpositiveTemperature"),
@@ -537,6 +541,32 @@ def test_cli_entropy_csv_format(capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0].startswith("n,epsilon,shannon")
     assert lines[1].startswith("2,0.001,2")
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command", ["work", "game"])
+def test_a_subnormal_epsilon_prints_finite_json(command, capsys):
+    # 1 / 5e-324 overflows to inf; -log2(5e-324) is exactly 1074
+    spec = "bernoulli(0.7)^10"
+    assert main([command, "--spec", spec, "--epsilon", "5e-324"]) == 0
+    out = strict_json(capsys.readouterr().out)
+    max_work = out["max_work"] if command == "work" else out["theorem_bounds"]["max_work"]
+    h = smooth_report(to_distribution(parse_spec(spec)), 5e-324).h_min_smooth
+    assert max_work["bits"] == float(f"{10 - h + 1074:.6g}")
+
+
+def test_a_non_finite_figure_is_an_internal_error(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "cmd_entropy", lambda spec, eps: {"h_min": math.inf})
+    assert main(["entropy", "--spec", "uniform^2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["code"] == "InternalError"
 
 
 def test_cli_hidden_oracle_command(capsys):

@@ -34,7 +34,7 @@ from szilard.errors import BadEpsilon
 from szilard.oracle import brute_hmax_smooth, brute_hmin_smooth, statistical_distance
 from szilard.rng import make_rng
 
-from util import random_explicit, random_mixture_params
+from util import random_explicit, random_mixture_params, reference_cut
 
 # worked example: four-point distribution with a vanishing fifth entry
 PEX = [(0, 0.5), (1, 0.49998), (2, 1e-5), (3, 1e-5), (4, 0.0)]
@@ -460,20 +460,13 @@ def test_one_solve_per_spectrum_and_eps(monkeypatch):
     assert sorted(calls) == one_each
 
 
-def full_scan_cut(s, prefix_mass, eps) -> int:
-    """The H_min^eps cut from one accumulate over every level."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        levels = np.log2(prefix_mass - eps) - np.logaddexp2.accumulate(s.log_count)
-    return int(np.argmax(levels >= np.append(s.log_p[1:], -np.inf))) + 1
-
-
 def assert_prefix_cut_is_the_full_scan(monkeypatch, s, eps) -> int:
     prefix_mass = np.cumsum(s.mass)
     m = entropy._cut(s, prefix_mass, eps)
-    assert m == full_scan_cut(s, prefix_mass, eps)
+    assert m == reference_cut(s, prefix_mass, eps)
     got = entropy._solve_min(s, eps)
     with monkeypatch.context() as patch:
-        patch.setattr(entropy, "_cut", full_scan_cut)
+        patch.setattr(entropy, "_cut", reference_cut)
         want = entropy._solve_min(s, eps)
     assert got == want
     assert got[0].bits.hex() == want[0].bits.hex()

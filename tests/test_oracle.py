@@ -19,6 +19,7 @@ from szilard import (
 )
 from szilard.errors import (
     ArityMismatch,
+    BadEpsilon,
     BiasedBitsPresent,
     InvalidBets,
     NotBijective,
@@ -56,6 +57,16 @@ def test_brute_hmax_at_zero_epsilon(rng):
 def test_brute_hmax_rejects_large_support():
     with pytest.raises(TooLarge):
         brute_hmax_smooth(explicit_of(uniform_product(5)), 0.1)
+
+
+@pytest.mark.parametrize("eps", [1.0, 1.5, -0.1, float("nan")])
+@pytest.mark.parametrize("brute", [brute_hmax_smooth, brute_hmin_smooth])
+def test_brute_smoothing_refuses_an_epsilon_outside_the_unit_interval(brute, eps):
+    # at eps >= 1 the ball holds the empty table, which has no entropy;
+    # the check comes before the support is enumerated, even a large one
+    for d in (explicit_of(uniform_product(2)), explicit_of(uniform_product(5))):
+        with pytest.raises(BadEpsilon):
+            brute(d, eps)
 
 
 def test_brute_hmin_at_zero_epsilon(rng):

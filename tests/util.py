@@ -213,34 +213,11 @@ def reference_table_levels(view: TypeClassView) -> Spectrum:
 
 
 def reference_cut(s: Spectrum, prefix_mass: np.ndarray, eps: float) -> int:
-    """``entropy._cut`` scanning its doubling chunks from the first level,
-    with no seed: the m that the exact fold seed gives (``reference_fold``
-    is the accumulate's value before any start)."""
-    size = s.log_p.size
-    start, width, acc = 0, 64, None
-    while True:
-        stop = min(start + width, size)
-        counts = s.log_count[start:stop]
-        if acc is None:
-            log_n = np.logaddexp2.accumulate(counts)
-        else:
-            log_n = np.logaddexp2.accumulate(np.concatenate(([acc], counts)))[1:]
-        below = s.log_p[start + 1 : stop + 1]
-        if stop == size:
-            below = np.append(below, -np.inf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hit = np.log2(prefix_mass[start:stop] - eps) - log_n >= below
-        if hit.any():
-            return start + int(np.argmax(hit)) + 1
-        start, width, acc = stop, 2 * width, log_n[-1]
-
-
-def reference_fold(x: np.ndarray) -> float:
-    """The exact fold that seeds ``entropy._cut``'s fallback scan: the
-    sequential left fold of ``logaddexp2``, started from the first value,
-    since a start from the identity -inf turns -0.0 into +0.0 where
-    accumulate keeps it."""
-    return np.logaddexp2.reduce(x[1:], initial=x[0])
+    """The H_min^eps cut from one accumulate over every level: no start
+    past the levels within eps, no seed and no chunks."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        levels = np.log2(prefix_mass - eps) - np.logaddexp2.accumulate(s.log_count)
+    return int(np.argmax(levels >= np.append(s.log_p[1:], -np.inf))) + 1
 
 
 def reference_log_factorials(n: int) -> np.ndarray:
