@@ -33,8 +33,8 @@ before the first level whose prefix mass exceeds eps, so the running
 log-count of the levels before it is one ``logsumexp2``, and from there
 it is accumulated in chunks of doubling length only as far as the cut,
 not over all n + 1 levels. The cut is a float decision and needs no
-exact one: where rounding could move it by a level, H_min^eps moves by
-no more than that rounding (see ``_cut``).
+exact one: where rounding moves it by a level, H_min^eps moves by no
+more than the rounding already in the computed log2 N_m (see ``_cut``).
 """
 from __future__ import annotations
 
@@ -284,8 +284,12 @@ def _cut(s: Spectrum, prefix_mass: np.ndarray, eps: float) -> int:
     p_{m+1} on level m + 1, lam(m + 1) = (N_m lam(m) + c p_{m+1}) /
     (N_m + c) is a weighted mean of lam(m) and p_{m+1}, so H(m + 1) and
     H(m) differ by at most |log2 lam(m) - log2 p_{m+1}|: the margin of the
-    very comparison that chose between the two cuts. Where rounding can
-    turn that comparison, either cut gives H to within that rounding.
+    very comparison that chose between the two cuts. Rounding can turn
+    that comparison only where the margin is within the error of the
+    computed log2 N_m, so a turned cut moves H by no more than that error,
+    which H carries anyway. The error grows with the levels summed: at
+    n = 1e5 it may reach many ulps of H, so the two cuts agree to the
+    printed digits, not always in the float.
     """
     start = int(np.searchsorted(prefix_mass, eps, side="right"))
     size = s.log_p.size

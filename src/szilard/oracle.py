@@ -45,7 +45,8 @@ KNOWN, BIASED, UNIFORM = "known", "biased", "uniform"
 
 def _check_epsilon(eps: float):
     """At eps >= 1 the smoothing ball holds the empty table, which has no
-    entropy; the oracle keeps its own check rather than read ``entropy``'s."""
+    entropy. The reference states the valid range itself rather than call
+    ``entropy``'s check, so it stays independent of the code it checks."""
     if not 0.0 <= eps < 1.0:
         raise BadEpsilon(f"need 0 <= epsilon < 1, got {eps}")
 

@@ -4,9 +4,11 @@
 reads monotone classes in order, and ``entropy._cut`` starts its scan
 where the prefix mass first exceeds eps, seeded by one log-sum. ``util``
 keeps the builds that do none of this; every array and figure, and every
-cut, must match them in ``float.hex``. Where a cut could differ, a
-neighbouring cut moves H_min^eps by no more than the margin of the
-comparison between them, which the last test checks.
+cut, must match them in ``float.hex``. The cut equalities pin today's
+floats on these fixed inputs, not a property of the design: a cut may
+differ where rounding turns a comparison, and what the design guarantees
+is that a neighbouring cut moves H_min^eps by no more than the margin of
+the comparison between them, which the last test checks.
 """
 import math
 
